@@ -5,6 +5,7 @@
 #include "amr/BoxList.hpp"
 #include "amr/CommCache.hpp"
 #include "core/KernelProfiles.hpp"
+#include "core/LevelGeometry.hpp"
 #include "core/Rk3.hpp"
 #include "gpu/Arena.hpp"
 #include "gpu/Gpu.hpp"
@@ -60,7 +61,7 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
     : amr::AmrCore(geom0, cfg.amrInfo, cfg.nranks, comm), cfg_(cfg),
       mapping_(std::move(mapping)) {
     // Coordinates carry 3 extra ghost layers beyond the state so the
-    // metrics' 4th-order stencils reach (see mesh::computeMetrics).
+    // metrics' 4th-order stencils reach (see core::buildLevelGeometry).
     coordStore_ = std::make_unique<mesh::CoordStore>(
         mapping_, geom0, cfg.amrInfo.refRatio, cfg.amrInfo.maxLevel, NGHOST + 3,
         cfg.coordMode, cfg.coordFileDir);
@@ -69,6 +70,7 @@ CroccoAmr::CroccoAmr(const amr::Geometry& geom0, const Config& cfg,
     G_.resize(nlev);
     coords_.resize(nlev);
     metrics_.resize(nlev);
+    metricReuse_.resize(nlev);
     switch (cfg.interp) {
         case InterpChoice::Curvilinear:
             interp_ = std::make_unique<amr::CurvilinearInterp>();
@@ -117,6 +119,7 @@ void CroccoAmr::init(InitFunct initialCondition, amr::PhysBCFunct physBC) {
     init_ = std::move(initialCondition);
     physBC_ = std::move(physBC);
     perf::TinyProfiler::Scope scope(prof_, "InitGrid");
+    std::fill(metricReuse_.begin(), metricReuse_.end(), MetricReuse{});
     initGrids(time_);
 }
 
@@ -125,13 +128,18 @@ void CroccoAmr::defineLevelData(int lev, const BoxArray& ba,
     U_[lev].define(ba, dm, NCONS, NGHOST, comm());
     G_[lev].define(ba, dm, NCONS, 0, comm());
     G_[lev].setVal(0.0);
-    coords_[lev].define(ba, dm, 3, NGHOST + 3, comm());
-    metrics_[lev].define(ba, dm, mesh::MetricComps, NGHOST, comm());
-    {
-        perf::TinyProfiler::Scope scope(prof_, "InitGridMetrics");
-        coordStore_->getCoords(coords_[lev], lev);
-        mesh::computeMetrics(coords_[lev], metrics_[lev], geom(lev));
-    }
+    defineLevelGeometry(lev, ba, dm, coords_[lev], metrics_[lev], nullptr);
+}
+
+void CroccoAmr::defineLevelGeometry(int lev, const BoxArray& ba,
+                                    const DistributionMapping& dm,
+                                    MultiFab& coords, MultiFab& metrics,
+                                    const MultiFab* oldMetrics) {
+    perf::TinyProfiler::Scope scope(prof_, "InitGridMetrics");
+    coords.define(ba, dm, 3, NGHOST + 3, comm());
+    metrics.define(ba, dm, mesh::MetricComps, NGHOST, comm());
+    metricReuse_[static_cast<std::size_t>(lev)] =
+        buildLevelGeometry(*coordStore_, lev, geom(lev), coords, metrics, oldMetrics);
 }
 
 void CroccoAmr::makeNewLevelFromScratch(int lev, Real /*time*/, const BoxArray& ba,
@@ -162,13 +170,10 @@ void CroccoAmr::remakeLevel(int lev, Real time, const BoxArray& ba,
     MultiFab newU(ba, dm, NCONS, NGHOST, comm());
     MultiFab newG(ba, dm, NCONS, 0, comm());
     newG.setVal(0.0);
-    MultiFab newCoords(ba, dm, 3, NGHOST + 3, comm());
-    MultiFab newMetrics(ba, dm, mesh::MetricComps, NGHOST, comm());
-    {
-        perf::TinyProfiler::Scope scope(prof_, "InitGridMetrics");
-        coordStore_->getCoords(newCoords, lev);
-        mesh::computeMetrics(newCoords, newMetrics, geom(lev));
-    }
+    // Metric cells the old layout already holds on the same rank carry
+    // over; only the rest is computed.
+    MultiFab newCoords, newMetrics;
+    defineLevelGeometry(lev, ba, dm, newCoords, newMetrics, &metrics_[lev]);
     // Newly uncovered regions come from coarse interpolation; regions the
     // old level already resolved keep their fine data.
     amr::InterpFromCoarseLevel(newU, U_[lev - 1], geom(lev), geom(lev - 1),
@@ -692,6 +697,7 @@ void CroccoAmr::step() {
     const int freq = cfg_.regridFreq > 0 ? cfg_.regridFreq : estimateRegridFreq();
     if (maxLevel() > 0 && step_ % freq == 0) {
         perf::TinyProfiler::Scope scope(prof_, "Regrid");
+        std::fill(metricReuse_.begin(), metricReuse_.end(), MetricReuse{});
         regrid(0, time_);
     }
     dt_ = computeDtAllLevels();

@@ -5,6 +5,7 @@
 #include "amr/MultiFab.hpp"
 #include "core/BCFill.hpp"
 #include "core/ComputeDt.hpp"
+#include "core/LevelGeometry.hpp"
 #include "core/State.hpp"
 #include "core/Tagging.hpp"
 #include "core/Viscous.hpp"
@@ -207,6 +208,14 @@ public:
     const amr::MultiFab& coords(int lev) const { return coords_[lev]; }
     const amr::MultiFab& metrics(int lev) const { return metrics_[lev]; }
     const mesh::CoordStore& coordStore() const { return *coordStore_; }
+    /// Metric cells of level `lev` copied from its previous layout vs
+    /// computed by the last geometry build of the level. init() and each
+    /// step() regrid clear every level first, so a level the regrid left
+    /// alone reads zero; init, levels made from coarse and restores copy
+    /// nothing.
+    const MetricReuse& lastRegridMetricReuse(int lev) const {
+        return metricReuse_[static_cast<std::size_t>(lev)];
+    }
 
     perf::TinyProfiler& profiler() { return prof_; }
 
@@ -255,6 +264,13 @@ protected:
 private:
     void defineLevelData(int lev, const amr::BoxArray& ba,
                          const amr::DistributionMapping& dm);
+    /// Define `coords`/`metrics` on (ba, dm) and fill them through
+    /// buildLevelGeometry, reusing `oldMetrics` (nullptr: compute all);
+    /// records the level's MetricReuse.
+    void defineLevelGeometry(int lev, const amr::BoxArray& ba,
+                             const amr::DistributionMapping& dm,
+                             amr::MultiFab& coords, amr::MultiFab& metrics,
+                             const amr::MultiFab* oldMetrics);
     void rk3Advance();
     void computeRhs(int lev, const amr::MultiFab& Sborder, amr::MultiFab& dU);
     /// Fused-pipeline RHS (Config::fused): per-stage primitive cache, two-
@@ -321,6 +337,7 @@ private:
     std::vector<amr::MultiFab> G_;       // RK3 low-storage accumulator
     std::vector<amr::MultiFab> coords_;  // 3-comp physical coordinates
     std::vector<amr::MultiFab> metrics_; // 27-comp grid metrics
+    std::vector<MetricReuse> metricReuse_;
 
     std::unique_ptr<amr::Interpolater> interp_;
     Real time_ = 0.0;

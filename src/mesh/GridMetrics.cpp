@@ -2,7 +2,6 @@
 
 #include "amr/FArrayBox.hpp"
 
-#include <cassert>
 #include <cmath>
 
 namespace crocco::mesh {
@@ -105,18 +104,6 @@ void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& met
             }
         }
     });
-}
-
-void computeMetrics(const amr::MultiFab& coords, amr::MultiFab& metrics,
-                    const amr::Geometry& geom) {
-    assert(coords.nGrow() >= metrics.nGrow() + 3);
-    assert(metrics.nComp() == MetricComps && coords.nComp() == 3);
-    assert(coords.boxArray() == metrics.boxArray());
-    const std::array<Real, 3> dxi = geom.cellSizeArray();
-    for (int i = 0; i < metrics.numFabs(); ++i) {
-        computeMetricsFab(coords.const_array(i), metrics.array(i),
-                          metrics.grownBox(i), dxi);
-    }
 }
 
 Real gclResidual(const Array4<const Real>& metrics, const Box& region,

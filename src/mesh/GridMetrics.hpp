@@ -1,7 +1,9 @@
 #pragma once
 
-#include "amr/Geometry.hpp"
-#include "amr/MultiFab.hpp"
+#include "amr/Array4.hpp"
+#include "amr/Box.hpp"
+
+#include <array>
 
 namespace crocco::mesh {
 
@@ -38,13 +40,12 @@ Real jacobian(const Array4<const Real>& metrics, int i, int j, int k);
 /// region.grow(3): first metrics use 4th-order central differences
 /// (±2 cells) and second metrics difference the first metrics once more
 /// (±1 cell). `dxi` is the computational cell spacing.
+/// Each value depends only on the coordinates within ±3 cells, never on
+/// `region`, so any sub-box computes the same bits as the whole fab. The
+/// solver's level driver (core::buildLevelGeometry) relies on this to copy
+/// surviving cells across a regrid and compute only the remainder.
 void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& metrics,
                        const Box& region, const std::array<Real, 3>& dxi);
-
-/// Level-wide driver: fills `metrics` (valid + ghost) from `coords`.
-/// Requires coords.nGrow() >= metrics.nGrow() + 3.
-void computeMetrics(const amr::MultiFab& coords, amr::MultiFab& metrics,
-                    const amr::Geometry& geom);
 
 /// Discrete geometric-conservation-law residual max-norm over `region`:
 /// max_j | Σ_d ∂(J·∂ξ_d/∂x_j)/∂ξ_d |. Zero in exact arithmetic on any grid;

@@ -3,6 +3,8 @@
 #include "problems/Canonical.hpp"
 #include "problems/Dmr.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -108,10 +110,11 @@ TEST(CroccoAmr, CoordStoreFileModeMatchesMemoryMode) {
     // The regrid coordinate source (§III-C) must not change the physics —
     // only the performance (bench/ablation_coordstore measures that).
     Dmr dmr(smallDmr());
+    test::TmpDir dir("crocco_coordstore_file_mode");
     auto run = [&](mesh::CoordStore::Mode mode) {
         auto cfg = dmr.solverConfig(CodeVersion::V20);
         cfg.coordMode = mode;
-        cfg.coordFileDir = "/tmp";
+        cfg.coordFileDir = dir.path;
         cfg.regridFreq = 2;
         auto s = std::make_unique<CroccoAmr>(dmr.geometry(), cfg, dmr.mapping());
         s->init(dmr.initialCondition(), dmr.boundaryConditions());

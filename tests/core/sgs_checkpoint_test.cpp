@@ -4,6 +4,8 @@
 #include "problems/Canonical.hpp"
 #include "problems/Dmr.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -76,7 +78,8 @@ TEST(Checkpoint, RoundTripRestoresStateExactly) {
     CroccoAmr a(dmr.geometry(), cfg, dmr.mapping());
     a.init(dmr.initialCondition(), dmr.boundaryConditions());
     a.evolve(3);
-    const std::string dir = "/tmp/crocco_ckpt_test";
+    test::TmpDir tmp("crocco_ckpt_test");
+    const std::string dir = tmp.file("chk");
     a.writeCheckpoint(dir);
 
     CroccoAmr b(dmr.geometry(), cfg, dmr.mapping());
@@ -89,7 +92,6 @@ TEST(Checkpoint, RoundTripRestoresStateExactly) {
         for (int n = 0; n < NCONS; ++n)
             EXPECT_EQ(amr::MultiFab::l2Diff(a.state(lev), b.state(lev), n), 0.0);
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RestartContinuesIdentically) {
@@ -111,7 +113,8 @@ TEST(Checkpoint, RestartContinuesIdentically) {
     CroccoAmr first(dmr.geometry(), cfg, dmr.mapping());
     first.init(dmr.initialCondition(), dmr.boundaryConditions());
     first.evolve(2);
-    const std::string dir = "/tmp/crocco_ckpt_restart";
+    test::TmpDir tmp("crocco_ckpt_restart");
+    const std::string dir = tmp.file("chk");
     first.writeCheckpoint(dir);
     CroccoAmr second(dmr.geometry(), cfg, dmr.mapping());
     second.readCheckpoint(dir, dmr.initialCondition(), dmr.boundaryConditions());
@@ -126,24 +129,22 @@ TEST(Checkpoint, RestartContinuesIdentically) {
                 << "lev " << lev << " comp " << n;
         }
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RejectsCorruptHeader) {
-    std::filesystem::create_directories("/tmp/crocco_ckpt_bad");
-    std::ofstream("/tmp/crocco_ckpt_bad/header.txt") << "not-a-checkpoint 9\n";
+    test::TmpDir bad("crocco_ckpt_bad");
+    std::ofstream(bad.file("header.txt")) << "not-a-checkpoint 9\n";
     problems::Dmr dmr(problems::Dmr::Options{});
     CroccoAmr solver(dmr.geometry(), dmr.solverConfig(CodeVersion::V20),
                      dmr.mapping());
-    EXPECT_THROW(solver.readCheckpoint("/tmp/crocco_ckpt_bad",
+    EXPECT_THROW(solver.readCheckpoint(bad.path,
                                        dmr.initialCondition(),
                                        dmr.boundaryConditions()),
                  std::runtime_error);
-    EXPECT_THROW(solver.readCheckpoint("/tmp/does_not_exist",
+    EXPECT_THROW(solver.readCheckpoint(bad.file("does_not_exist"),
                                        dmr.initialCondition(),
                                        dmr.boundaryConditions()),
                  std::runtime_error);
-    std::filesystem::remove_all("/tmp/crocco_ckpt_bad");
 }
 
 } // namespace

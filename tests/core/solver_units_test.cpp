@@ -1,5 +1,6 @@
 #include "core/BCFill.hpp"
 #include "core/ComputeDt.hpp"
+#include "core/LevelGeometry.hpp"
 #include "core/Rk3.hpp"
 #include "core/Tagging.hpp"
 
@@ -84,9 +85,8 @@ struct DtFixture {
         BoxArray ba(geom.domain());
         DistributionMapping dm(ba, 1);
         MultiFab coords(ba, dm, 3, NGHOST + 3);
-        store.getCoords(coords, 0);
         metrics.define(ba, dm, mesh::MetricComps, NGHOST);
-        mesh::computeMetrics(coords, metrics, geom);
+        buildLevelGeometry(store, 0, geom, coords, metrics, nullptr);
         U.define(ba, dm, NCONS, NGHOST);
         U.setVal(0.0);
         U.setVal(rho, URHO, 1);

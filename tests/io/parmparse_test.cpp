@@ -1,5 +1,7 @@
 #include "io/ParmParse.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -67,13 +69,13 @@ TEST(ParmParse, TracksUnusedKeys) {
 }
 
 TEST(ParmParse, FileRoundTrip) {
-    const char* path = "/tmp/crocco_deck_test.inputs";
+    test::TmpDir dir("crocco_parmparse");
+    const std::string path = dir.file("deck.inputs");
     std::ofstream(path) << "amr.blocking_factor = 8\n";
     ParmParse pp;
     pp.parseFile(path);
     EXPECT_EQ(pp.getInt("amr.blocking_factor"), 8);
-    EXPECT_THROW(ParmParse().parseFile("/tmp/nope.inputs"), std::runtime_error);
-    std::remove(path);
+    EXPECT_THROW(ParmParse().parseFile(dir.file("nope.inputs")), std::runtime_error);
 }
 
 TEST(ParmParse, MakeConfigAppliesPaperDeckKeys) {

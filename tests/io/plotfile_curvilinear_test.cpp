@@ -2,6 +2,8 @@
 
 #include "problems/Dmr.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -25,9 +27,10 @@ TEST(PlotfileCurvilinear, VtkVerticesFollowTheWavyGrid) {
     core::CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V11),
                            dmr.mapping());
     solver.init(dmr.initialCondition(), dmr.boundaryConditions());
-    writeVtk(solver, "/tmp/pfc");
+    test::TmpDir dir("crocco_plotfile_curvilinear_vtk");
+    writeVtk(solver, dir.file("pfc"));
 
-    std::ifstream is("/tmp/pfc_lev0.vtk");
+    std::ifstream is(dir.file("pfc_lev0.vtk"));
     ASSERT_TRUE(is.good());
     std::string line;
     while (std::getline(is, line) && line.rfind("POINTS", 0) != 0) {
@@ -51,7 +54,6 @@ TEST(PlotfileCurvilinear, VtkVerticesFollowTheWavyGrid) {
     EXPECT_LT(xmin, 0.15);
     EXPECT_GT(xmax, 3.8);
     EXPECT_TRUE(sawCurved);
-    std::filesystem::remove("/tmp/pfc_lev0.vtk");
 }
 
 TEST(PlotfileCurvilinear, CsvCoordinatesArePhysical) {
@@ -64,9 +66,10 @@ TEST(PlotfileCurvilinear, CsvCoordinatesArePhysical) {
     core::CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V11),
                            dmr.mapping());
     solver.init(dmr.initialCondition(), dmr.boundaryConditions());
-    writeCsv(solver, "/tmp/pfc.csv");
+    test::TmpDir dir("crocco_plotfile_curvilinear_csv");
+    writeCsv(solver, dir.file("pfc.csv"));
 
-    std::ifstream is("/tmp/pfc.csv");
+    std::ifstream is(dir.file("pfc.csv"));
     std::string header;
     std::getline(is, header);
     double xmax = 0, rhoMin = 1e30, rhoMax = -1e30;
@@ -85,7 +88,6 @@ TEST(PlotfileCurvilinear, CsvCoordinatesArePhysical) {
     EXPECT_GT(xmax, 3.5); // physical domain is 4 long, not 32
     EXPECT_NEAR(rhoMin, 1.4, 1e-9);  // pre-shock
     EXPECT_NEAR(rhoMax, 8.0, 1e-9);  // post-shock (initial condition)
-    std::filesystem::remove("/tmp/pfc.csv");
 }
 
 } // namespace

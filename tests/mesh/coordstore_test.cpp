@@ -1,5 +1,7 @@
 #include "mesh/CoordStore.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -48,8 +50,9 @@ TEST(CoordStore, MemoryAndFileModesAgree) {
         std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{4, 1, 1}, 0.04);
     const Geometry g = makeGeom(8, true);
     CoordStore mem(mapping, g, IntVect(2), 1, 3, CoordStore::Mode::Memory);
+    test::TmpDir dir("crocco_coordstore_modes");
     CoordStore file(mapping, g, IntVect(2), 1, 3, CoordStore::Mode::File,
-                    "/tmp");
+                    dir.path);
     for (int lev = 0; lev <= 1; ++lev) {
         const Box target = g.domain().refine(lev == 0 ? 1 : 2).grow(2);
         amr::FArrayBox a(target, 3), b(target, 3);
@@ -59,8 +62,6 @@ TEST(CoordStore, MemoryAndFileModesAgree) {
             EXPECT_EQ(amr::FArrayBox::l2Diff(a, b, target, m), 0.0)
                 << "lev " << lev << " comp " << m;
     }
-    std::remove("/tmp/coords_lev0.bin");
-    std::remove("/tmp/coords_lev1.bin");
 }
 
 TEST(CoordStore, FillsMultiFabValidAndGhost) {
@@ -85,13 +86,12 @@ TEST(CoordStore, BytesStoredReflectsModeAndFootprint) {
         std::array<Real, 3>{0, 0, 0}, std::array<Real, 3>{1, 1, 1});
     const Geometry g = makeGeom(8, false);
     CoordStore mem(mapping, g, IntVect(2), 1, 2, CoordStore::Mode::Memory);
-    CoordStore file(mapping, g, IntVect(2), 1, 2, CoordStore::Mode::File, "/tmp");
+    test::TmpDir dir("crocco_coordstore_bytes");
+    CoordStore file(mapping, g, IntVect(2), 1, 2, CoordStore::Mode::File, dir.path);
     // Memory mode stores both levels' grown grids: 12^3 + 20^3 cells x 3.
     EXPECT_EQ(mem.bytesStored(),
               static_cast<std::int64_t>((12 * 12 * 12 + 20 * 20 * 20) * 3 * 8));
     EXPECT_EQ(file.bytesStored(), 0);
-    std::remove("/tmp/coords_lev0.bin");
-    std::remove("/tmp/coords_lev1.bin");
 }
 
 } // namespace

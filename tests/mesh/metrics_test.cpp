@@ -31,7 +31,8 @@ struct MetricsSetup {
         coords.define(ba, dm, 3, ngMetrics + 3);
         metrics.define(ba, dm, MetricComps, ngMetrics);
         store.getCoords(coords, 0);
-        computeMetrics(coords, metrics, geom);
+        computeMetricsFab(coords.const_array(0), metrics.array(0),
+                          metrics.grownBox(0), geom.cellSizeArray());
     }
 };
 

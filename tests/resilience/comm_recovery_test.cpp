@@ -10,6 +10,8 @@
 #include "problems/Dmr.hpp"
 #include "resilience/RestartManager.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -23,14 +25,6 @@ using amr::BoxArray;
 using amr::DistributionMapping;
 using amr::IntVect;
 using amr::MultiFab;
-
-struct TmpRoot {
-    std::string path;
-    explicit TmpRoot(const std::string& name) : path("/tmp/" + name) {
-        std::filesystem::remove_all(path);
-    }
-    ~TmpRoot() { std::filesystem::remove_all(path); }
-};
 
 // ---------------------------------------------------------- BuddyCheckpoint
 
@@ -199,7 +193,7 @@ TEST(RankRecovery, BuddyRestoreAfterMidRunRankDeathIsBitwiseIdentical) {
 }
 
 TEST(RankRecovery, WithoutABuddyCopyRecoveryFallsBackToDisk) {
-    TmpRoot root("crocco_comm_recovery_disk");
+    test::TmpDir root("crocco_comm_recovery_disk");
     const int nsteps = 8;
     parallel::SimComm cleanComm(4);
     auto reference = makeSolver(soakConfig(4), &cleanComm);
@@ -262,7 +256,7 @@ TEST(CommFaultSoak, SeededCampaignWithRegridsEndsBitwiseIdentical) {
     comm.attachFaults(&faults);
     auto solver = makeSolver(soakConfig(4), &comm);
 
-    TmpRoot root("crocco_comm_recovery_soak");
+    test::TmpDir root("crocco_comm_recovery_soak");
     RestartManager restart(root.path);
     BuddyCheckpoint buddy;
     core::CroccoAmr::EvolveOptions opts;

@@ -5,6 +5,8 @@
 #include "core/CroccoAmr.hpp"
 #include "problems/Dmr.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,14 +19,6 @@ namespace {
 namespace fs = std::filesystem;
 using core::CroccoAmr;
 
-struct TmpRoot {
-    explicit TmpRoot(const std::string& name) : path("/tmp/" + name) {
-        fs::remove_all(path);
-    }
-    ~TmpRoot() { fs::remove_all(path); }
-    std::string path;
-};
-
 // --------------------------------------------------- manager housekeeping
 
 TEST(RestartManager, RejectsNonPositiveKeepLast) {
@@ -32,7 +26,7 @@ TEST(RestartManager, RejectsNonPositiveKeepLast) {
 }
 
 TEST(RestartManager, DirNamingAndStepParsing) {
-    TmpRoot root("crocco_rm_names");
+    test::TmpDir root("crocco_rm_names");
     RestartManager rm(root.path);
     EXPECT_EQ(rm.dirFor(42), root.path + "/chk000042");
     EXPECT_EQ(RestartManager::stepOf(rm.dirFor(42)), 42);
@@ -40,7 +34,7 @@ TEST(RestartManager, DirNamingAndStepParsing) {
 }
 
 TEST(RestartManager, WritePrunesToKeepLastNewestFirst) {
-    TmpRoot root("crocco_rm_prune");
+    test::TmpDir root("crocco_rm_prune");
     RestartManager rm(root.path, 2);
     auto dummyWriter = [](const std::string& dir) {
         fs::create_directories(dir);
@@ -78,7 +72,7 @@ void expectBitwiseEqual(const CroccoAmr& a, const CroccoAmr& b) {
 }
 
 TEST(RestartManager, AtomicWriteLeavesNoStagingDirBehind) {
-    TmpRoot root("crocco_rm_atomic");
+    test::TmpDir root("crocco_rm_atomic");
     auto dmr = testDmr(0);
     CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V20),
                      dmr.mapping());
@@ -92,7 +86,7 @@ TEST(RestartManager, AtomicWriteLeavesNoStagingDirBehind) {
 }
 
 TEST(RestartManager, VerifyNamesFlippedByteAndTruncation) {
-    TmpRoot root("crocco_rm_verify");
+    test::TmpDir root("crocco_rm_verify");
     auto dmr = testDmr(0);
     CroccoAmr solver(dmr.geometry(), dmr.solverConfig(core::CodeVersion::V20),
                      dmr.mapping());
@@ -124,7 +118,7 @@ TEST(RestartManager, VerifyNamesFlippedByteAndTruncation) {
 TEST(Checkpoint, TruncatedLevelFileThrowsNamingLevelAndFile) {
     // Satellite regression: a short read / EOF mid-record must raise
     // CheckpointCorruption naming the truncated file, not garbage state.
-    TmpRoot root("crocco_ckpt_trunc");
+    test::TmpDir root("crocco_ckpt_trunc");
     auto dmr = testDmr(1);
     const auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     CroccoAmr a(dmr.geometry(), cfg, dmr.mapping());
@@ -152,7 +146,7 @@ TEST(Checkpoint, TruncatedLevelFileThrowsNamingLevelAndFile) {
 TEST(Checkpoint, ReadsLegacyV1Format) {
     // Strip the v2 CRC/length columns out of a fresh checkpoint's header and
     // mark it version 1: readCheckpoint must still restore it bit-exactly.
-    TmpRoot root("crocco_ckpt_v1");
+    test::TmpDir root("crocco_ckpt_v1");
     auto dmr = testDmr(1);
     const auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     CroccoAmr a(dmr.geometry(), cfg, dmr.mapping());
@@ -199,7 +193,7 @@ TEST(RestartManager, FallsBackToPreviousGoodCheckpointOnByteFlip) {
     // Acceptance: flip one byte in the newest checkpoint's level data. The
     // manager must detect the CRC mismatch, skip it, and restore the previous
     // good checkpoint bitwise-equal to the state at its write time.
-    TmpRoot root("crocco_rm_fallback");
+    test::TmpDir root("crocco_rm_fallback");
     auto dmr = testDmr(1);
     const auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
@@ -238,7 +232,7 @@ TEST(RestartManager, FallsBackToPreviousGoodCheckpointOnByteFlip) {
 }
 
 TEST(RestartManager, RestoreLatestThrowsListingAllCorruptCheckpoints) {
-    TmpRoot root("crocco_rm_allbad");
+    test::TmpDir root("crocco_rm_allbad");
     RestartManager rm(root.path, 2);
     auto badWriter = [](const std::string& dir) {
         fs::create_directories(dir);
@@ -269,7 +263,7 @@ TEST(Checkpoint, RoundTripAcrossRegridBoundaryMatchesUninterruptedRun) {
     full.evolve(5);
     const auto fullTotals = full.conservedTotals();
 
-    TmpRoot root("crocco_ckpt_regrid");
+    test::TmpDir root("crocco_ckpt_regrid");
     CroccoAmr first(dmr.geometry(), cfg, dmr.mapping());
     first.init(dmr.initialCondition(), dmr.boundaryConditions());
     first.evolve(3);
@@ -291,7 +285,7 @@ TEST(Evolve, AutoRecoversFromDivergenceViaCheckpoint) {
     // With no retry budget, a one-shot corruption turns straight into
     // SolverDivergence; evolve() must restore the newest checkpoint and
     // replay (the transient fault is spent, so the replay runs clean).
-    TmpRoot root("crocco_rm_recover");
+    test::TmpDir root("crocco_rm_recover");
     auto dmr = testDmr(0);
     auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     cfg.guard.maxRetries = 0;
@@ -320,7 +314,7 @@ TEST(Evolve, AutoRecoversFromDivergenceViaCheckpoint) {
 }
 
 TEST(Evolve, RethrowsWhenRecoveryBudgetExhausted) {
-    TmpRoot root("crocco_rm_budget");
+    test::TmpDir root("crocco_rm_budget");
     auto dmr = testDmr(0);
     auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     cfg.guard.maxRetries = 0;

@@ -16,6 +16,8 @@
 #include "resilience/RecoveryLadder.hpp"
 #include "resilience/RestartManager.hpp"
 
+#include "TmpDir.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -33,14 +35,6 @@ std::uint64_t campaignSeed() {
         return std::strtoull(env, nullptr, 10);
     return 2026;
 }
-
-struct TmpRoot {
-    std::string path;
-    explicit TmpRoot(const std::string& name) : path("/tmp/" + name) {
-        std::filesystem::remove_all(path);
-    }
-    ~TmpRoot() { std::filesystem::remove_all(path); }
-};
 
 problems::Dmr smallDmr() {
     problems::Dmr::Options o;
@@ -208,7 +202,7 @@ TEST(SdcSoak, CorruptRetainedCopyEscalatesToBuddyMirror) {
 // BuddyCheckpoint::verifyMirror: the corrupt copy must never overwrite
 // live state.
 TEST(SdcSoak, CorruptBuddyMirrorFallsThroughToDiskRestart) {
-    TmpRoot root("crocco_sdc_corrupt_mirror");
+    test::TmpDir root("crocco_sdc_corrupt_mirror");
     const int nsteps = 10;
     parallel::SimComm cleanComm(4);
     auto reference = makeSolver(soakConfig(4, false), &cleanComm);

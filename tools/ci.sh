@@ -54,6 +54,9 @@ echo "== CroccoCheck (Release + CROCCO_CHECK) =="
 cmake -B build-ci-check -S . -DCMAKE_BUILD_TYPE=Release -DCROCCO_CHECK=ON \
       -DCROCCO_BUILD_BENCH=OFF -DCROCCO_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-ci-check -j "$JOBS" >/dev/null
+# Every test carries the check label in this build, the *_mt variants
+# included, so e.g. level_geometry_test_mt runs the per-fab geometry launch
+# under the race detector with GPU_NUM_THREADS=4.
 (cd build-ci-check && ctest -L check --output-on-failure)
 
 if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
