@@ -47,30 +47,6 @@ void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
                         const MultiFab* fineCoords = nullptr,
                         const MultiFab* crseCoords = nullptr);
 
-/// Split (asynchronous) FillPatch, mirroring the Begin/End pair of
-/// MultiFab::fillBoundary. Begin copies the valid cells and *posts* the
-/// same-level ghost exchange without draining it; End drains the exchange
-/// and completes the fill (for two levels: coarse gather, ghost
-/// interpolation, physical BCs). Kernels that read only valid cells — the
-/// interior pass of the split RK3 advance — run between the two, hiding
-/// the exchange behind compute (docs/performance.md §4).
-///
-/// Begin+End is byte-identical to the blocking call: both share the same
-/// completion code, and the Begin/End exchange itself replays the pattern
-/// copies and message records in build order.
-void FillPatchSingleLevelBegin(MultiFab& dst, const MultiFab& src,
-                               const Geometry& geom);
-void FillPatchSingleLevelEnd(MultiFab& dst, const Geometry& geom,
-                             const PhysBCFunct& bc, Real time);
-void FillPatchTwoLevelsBegin(MultiFab& dst, const MultiFab& fineSrc,
-                             const Geometry& fineGeom);
-void FillPatchTwoLevelsEnd(MultiFab& dst, const MultiFab& crseSrc,
-                           const Geometry& fineGeom, const Geometry& crseGeom,
-                           const IntVect& ratio, const Interpolater& interp,
-                           const PhysBCFunct& fineBC, const PhysBCFunct& crseBC,
-                           Real time, const MultiFab* fineCoords = nullptr,
-                           const MultiFab* crseCoords = nullptr);
-
 /// Fill `dst` (valid + in-domain ghost cells) *entirely* by interpolation
 /// from the coarser level, then apply physical BCs — used when regridding
 /// creates or extends a fine level (mirrors amrex::InterpFromCoarseLevel).

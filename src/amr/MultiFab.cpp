@@ -1,13 +1,9 @@
-// crocco-analyze:allow-file(R6): MultiFab IS the verified-exchange layer —
-// these isend/irecv posts are the ones SimComm's CRC/timeout/retransmit
-// machinery wraps (see docs/correctness.md#r6).
 #include "amr/MultiFab.hpp"
 
 #include "amr/CommCache.hpp"
 #include "check/Check.hpp"
 #include "gpu/Arena.hpp"
 #include "gpu/Gpu.hpp"
-#include "gpu/Stream.hpp"
 #include "resilience/Crc32.hpp"
 
 #include <cassert>
@@ -259,64 +255,10 @@ resolvePlan(CommCache& cache, const CommCache::Key& key, bool cacheable,
 
 } // namespace
 
-/// Pattern snapshot + deferred copies + posted message requests of one
-/// fillBoundaryBegin, alive until the matching End. The pattern is stored
-/// by value: a CommCache LRU eviction between Begin and End must not
-/// dangle the descriptors.
-struct MultiFab::AsyncFillState {
-    CommPattern pattern;
-    gpu::Stream stream;
-    std::vector<parallel::SimComm::Request> requests;
-    /// Hardened mode only: sender-side CRC per copy descriptor, computed at
-    /// Begin (the source valid data is immutable while the exchange is in
-    /// flight); 0 for on-rank copies. End verifies the delivered ghosts
-    /// against these.
-    std::vector<std::uint32_t> srcCrcs;
-    /// Aggregated exchange (comm.aggregate): the rank-pair plan (by value —
-    /// a plan-cache eviction between Begin and End must not dangle), the
-    /// leased staging buffers (one per pair, alive until End so a verified
-    /// retransmit can re-deliver), and the per-pair payload CRCs posted at
-    /// Begin (hardened mode; empty strings of zeros otherwise).
-    AggregationPlan plan;
-    std::vector<gpu::ScratchPool::Lease> staging;
-    std::vector<std::uint32_t> pairCrcs;
-    bool aggregated = false;
-    bool verified = false;
-};
-
 MultiFab::MultiFab(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
                    int ngrow, parallel::SimComm* comm) {
     define(ba, dm, ncomp, ngrow, comm);
 }
-
-MultiFab::MultiFab(const MultiFab& o)
-    : ba_(o.ba_), dm_(o.dm_), ncomp_(o.ncomp_), ngrow_(o.ngrow_),
-      fabs_(o.fabs_), comm_(o.comm_) {
-    if (o.asyncFill_) {
-        throw std::logic_error("MultiFab copy with a ghost exchange in flight "
-                               "(fillBoundaryBegin without fillBoundaryEnd)");
-    }
-}
-
-MultiFab& MultiFab::operator=(const MultiFab& o) {
-    if (this == &o) return *this;
-    if (o.asyncFill_ || asyncFill_) {
-        throw std::logic_error("MultiFab assignment with a ghost exchange in "
-                               "flight (fillBoundaryBegin without fillBoundaryEnd)");
-    }
-    ba_ = o.ba_;
-    dm_ = o.dm_;
-    ncomp_ = o.ncomp_;
-    ngrow_ = o.ngrow_;
-    fabs_ = o.fabs_;
-    comm_ = o.comm_;
-    return *this;
-}
-
-MultiFab::MultiFab() = default;
-MultiFab::MultiFab(MultiFab&&) noexcept = default;
-MultiFab& MultiFab::operator=(MultiFab&&) noexcept = default;
-MultiFab::~MultiFab() = default;
 
 void MultiFab::define(const BoxArray& ba, const DistributionMapping& dm, int ncomp,
                       int ngrow, parallel::SimComm* comm) {
@@ -327,7 +269,6 @@ void MultiFab::define(const BoxArray& ba, const DistributionMapping& dm, int nco
     ncomp_ = ncomp;
     ngrow_ = ngrow;
     comm_ = comm;
-    asyncFill_.reset(); // redefining abandons any in-flight exchange
     fabs_.clear();
     fabs_.reserve(ba.size());
     for (int i = 0; i < ba.size(); ++i) fabs_.emplace_back(ba[i].grow(ngrow), ncomp);
@@ -577,214 +518,6 @@ void MultiFab::fillBoundary(const Geometry& geom) {
     const AggregationPlan* plan =
         resolvePlan(cache, key, cacheable, stored, dm_, dm_, comm_, local);
     replay(stored, *this, 0, 0, ncomp_, "FillBoundary", /*p2p=*/true, plan);
-}
-
-void MultiFab::fillBoundaryBegin(const Geometry& geom) {
-    if (asyncFill_) {
-        throw std::logic_error("MultiFab::fillBoundaryBegin with an exchange "
-                               "already in flight (missing fillBoundaryEnd)");
-    }
-    const auto shifts = geom.periodicShifts();
-    CommCache& cache = CommCache::instance();
-    if (comm_) cache.noteCommSize(comm_->size());
-    const CommCache::Key key{ba_.id(), ba_.id(), ngrow_, 0, hashShifts(shifts),
-                             CommCache::FillBoundary};
-    const bool cacheable = cache.enabled() && ba_.id() != 0;
-    auto st = std::make_unique<AsyncFillState>();
-    st->verified = comm_ && comm_->exchangeVerification();
-    bool resolved = false;
-    if (cacheable) {
-        if (const CommPattern* pat = cache.lookup(key, ba_.size(), ba_.size())) {
-            if (check::enabled && check::commGuardShouldVerify())
-                verifyReplay(*pat, buildFillBoundaryPattern(shifts),
-                             "FillBoundary");
-            MaybeScope scope("CommCacheHit");
-            st->pattern = *pat;
-            resolved = true;
-        }
-    }
-    if (!resolved) {
-        MaybeScope scope("CommCacheBuild");
-        st->pattern = buildFillBoundaryPattern(shifts);
-        if (cacheable) cache.insert(key, CommPattern(st->pattern));
-    }
-    {
-        AggregationPlan localPlan;
-        const AggregationPlan* plan = resolvePlan(
-            cache, key, cacheable, st->pattern, dm_, dm_, comm_, localPlan);
-        if (plan && !plan->pairs.empty()) {
-            // Aggregated post: on-rank copies defer on the stream in build
-            // order; the packed payloads leave now (the source valid cells
-            // are immutable while the exchange is in flight — the overlap
-            // contract — so packing at Begin is the wire departure), one
-            // isend per rank pair; the batched unpack rides the stream
-            // behind the on-rank copies, so End's drain — or the overlap
-            // path's task-0 drain behind its gpu::Event — delivers the
-            // ghosts before any halo read, on the same happens-before edge
-            // the per-descriptor path uses.
-            st->aggregated = true;
-            st->plan = *plan;
-            for (const CopyDescriptor& d : st->pattern.copies) {
-                if (dm_[d.srcFab] != dm_[d.dstFab]) continue;
-                st->stream.enqueue([this, d] {
-                    fabs_[d.dstFab].copyFrom(fabs_[d.srcFab], d.region, 0, 0,
-                                             ncomp_, d.shift);
-                });
-            }
-            st->staging = packAggregated(st->pattern, st->plan, *this, 0,
-                                         ncomp_);
-            double totalBytes = 0.0;
-            for (std::size_t p = 0; p < st->plan.pairs.size(); ++p) {
-                const RankPairBatch& b = st->plan.pairs[p];
-                const std::int64_t bytes =
-                    b.totalPts * ncomp_ * static_cast<std::int64_t>(sizeof(Real));
-                totalBytes += static_cast<double>(bytes);
-                std::uint32_t crc = 0;
-                if (st->verified)
-                    crc = stagingCrc(st->staging[p].fab(), b.totalPts * ncomp_);
-                st->pairCrcs.push_back(crc);
-                st->requests.push_back(comm_->isend(
-                    b.srcRank, b.dstRank, bytes,
-                    parallel::MessageKind::PointToPoint, "FillBoundary", crc));
-                if (st->verified)
-                    st->requests.push_back(
-                        comm_->irecv(b.srcRank, b.dstRank, "FillBoundary"));
-            }
-            chargeMessages("FillBoundary",
-                           static_cast<std::int64_t>(st->plan.pairs.size()),
-                           totalBytes);
-            AsyncFillState* s = st.get();
-            st->stream.enqueue([this, s] {
-                unpackAggregated(s->pattern, s->plan, s->staging, *this, 0,
-                                 ncomp_);
-            });
-            asyncFill_ = std::move(st);
-            return;
-        }
-    }
-    // Post the exchange: the data copies are deferred on the stream (End
-    // drains them in enqueue == build order) and the off-rank messages are
-    // posted as nonblocking sends completed at End in posting order — both
-    // byte-identical to the blocking fillBoundary.
-    std::int64_t nmsgs = 0;
-    double msgBytes = 0.0;
-    for (const CopyDescriptor& d : st->pattern.copies) {
-        st->stream.enqueue([this, d] {
-            fabs_[d.dstFab].copyFrom(fabs_[d.srcFab], d.region, 0, 0, ncomp_,
-                                     d.shift);
-        });
-        if (!comm_) {
-            continue;
-        }
-        const int srcRank = dm_[d.srcFab];
-        const int dstRank = dm_[d.dstFab];
-        if (srcRank == dstRank) { // on-rank copies never hit the network
-            if (st->verified) st->srcCrcs.push_back(0);
-            continue;
-        }
-        const std::int64_t bytes =
-            d.npts * ncomp_ * static_cast<std::int64_t>(sizeof(Real));
-        std::uint32_t crc = 0;
-        if (st->verified) {
-            // Checksum the payload at post time: the source valid cells are
-            // immutable while the exchange is in flight (that is the overlap
-            // contract), so this is the CRC the wire carries.
-            crc = regionCrc(fabs_[d.srcFab], d.region.shift(d.shift), 0, ncomp_);
-            st->srcCrcs.push_back(crc);
-        }
-        st->requests.push_back(comm_->isend(
-            srcRank, dstRank, bytes, parallel::MessageKind::PointToPoint,
-            "FillBoundary", crc));
-        ++nmsgs;
-        msgBytes += static_cast<double>(bytes);
-        if (st->verified) {
-            // The hardened exchange posts the matching receive (lint rule
-            // R6: a posted payload always has a receiver with a timeout +
-            // CRC policy). The plain path keeps the seed's send-only
-            // recording so its message stream stays byte-identical.
-            st->requests.push_back(comm_->irecv(srcRank, dstRank,
-                                                "FillBoundary"));
-        }
-    }
-    chargeMessages("FillBoundary", nmsgs, msgBytes);
-    asyncFill_ = std::move(st);
-}
-
-void MultiFab::fillBoundaryEnd(const std::source_location& loc) {
-    if (!asyncFill_) {
-        throw std::logic_error(
-            std::string("MultiFab::fillBoundaryEnd without a matching "
-                        "fillBoundaryBegin at ") +
-            loc.file_name() + ":" + std::to_string(loc.line()));
-    }
-    asyncFill_->stream.synchronize();
-    if (comm_) comm_->waitall(asyncFill_->requests);
-    if (comm_ && asyncFill_->verified && asyncFill_->aggregated) {
-        // Aggregated post-hoc verification: one CRC check / NACK /
-        // retransmit per packed rank-pair message, re-delivered from the
-        // still-leased staging buffer.
-        AsyncFillState& s = *asyncFill_;
-        for (std::size_t p = 0; p < s.plan.pairs.size(); ++p) {
-            const RankPairBatch& b = s.plan.pairs[p];
-            const std::uint32_t want = s.pairCrcs[p];
-            parallel::SimComm::Transfer t;
-            t.src = b.srcRank;
-            t.dst = b.dstRank;
-            t.bytes = b.totalPts * ncomp_ * static_cast<std::int64_t>(sizeof(Real));
-            t.kind = parallel::MessageKind::PointToPoint;
-            t.tag = "FillBoundary";
-            t.deliver = [this, &s, p] {
-                deliverPair(s.pattern, s.plan.pairs[p], s.staging[p].fab(),
-                            *this, 0, ncomp_);
-            };
-            t.payloadCrc = [want] { return want; };
-            t.deliveredCrc = [this, &s, p] {
-                return pairDeliveredCrc(s.pattern, s.plan.pairs[p], *this, 0,
-                                        ncomp_);
-            };
-            t.scramble = [this, &s, p](std::uint64_t w) {
-                scramblePair(s.pattern, s.plan.pairs[p], *this, 0, ncomp_, w);
-            };
-            comm_->verifyDelivered(t);
-        }
-    } else if (comm_ && asyncFill_->verified) {
-        // Post-hoc verification of the drained exchange: every off-rank
-        // payload is CRC-checked against the checksum posted at Begin;
-        // corruption/duplication faults strike here (the async analogue of
-        // sendVerified) and are NACK'd + retransmitted before the caller
-        // sees the ghosts.
-        std::size_t ci = 0;
-        for (const CopyDescriptor& d : asyncFill_->pattern.copies) {
-            const int srcRank = dm_[d.srcFab];
-            const int dstRank = dm_[d.dstFab];
-            if (srcRank == dstRank) {
-                ++ci;
-                continue;
-            }
-            const std::int64_t bytes =
-                d.npts * ncomp_ * static_cast<std::int64_t>(sizeof(Real));
-            const std::uint32_t want = asyncFill_->srcCrcs[ci++];
-            parallel::SimComm::Transfer t;
-            t.src = srcRank;
-            t.dst = dstRank;
-            t.bytes = bytes;
-            t.kind = parallel::MessageKind::PointToPoint;
-            t.tag = "FillBoundary";
-            t.deliver = [this, d] {
-                fabs_[d.dstFab].copyFrom(fabs_[d.srcFab], d.region, 0, 0,
-                                         ncomp_, d.shift);
-            };
-            t.payloadCrc = [want] { return want; };
-            t.deliveredCrc = [this, d] {
-                return regionCrc(fabs_[d.dstFab], d.region, 0, ncomp_);
-            };
-            t.scramble = [this, d](std::uint64_t w) {
-                scrambleRegionBit(fabs_[d.dstFab], d.region, 0, ncomp_, w);
-            };
-            comm_->verifyDelivered(t);
-        }
-    }
-    asyncFill_.reset();
 }
 
 void MultiFab::parallelCopy(const MultiFab& src, int srcComp, int destComp,

@@ -7,10 +7,6 @@ namespace crocco::check {
 thread_local TaskLog* tlTaskLog = nullptr;
 
 namespace {
-thread_local int tlTaskIndex = -1;
-} // namespace
-
-namespace {
 
 void fmtBox(std::ostream& os, const amr::Box& b) {
     os << "[(" << b.smallEnd(0) << "," << b.smallEnd(1) << "," << b.smallEnd(2)
@@ -27,27 +23,8 @@ RaceDetector& RaceDetector::instance() {
 
 void RaceDetector::beginLaunch(int ntasks) {
     logs_.assign(static_cast<std::size_t>(ntasks), TaskLog{});
-    order_.clear();
     active_ = true;
     ++launches_;
-}
-
-void RaceDetector::addHappensBefore(int before, int after) {
-    if (!active_ || before < 0 || after < 0 || before == after) return;
-    std::lock_guard<std::mutex> lock(orderM_);
-    order_.emplace_back(before, after);
-}
-
-int RaceDetector::currentTask() { return tlTaskIndex; }
-
-bool RaceDetector::ordered(int a, int b) const {
-    // Direct edges only (no transitive closure): the codebase's ordering
-    // pattern is a single fan-out from the End task to each halo task.
-    for (const auto& [before, after] : order_) {
-        if ((before == a && after == b) || (before == b && after == a))
-            return true;
-    }
-    return false;
 }
 
 void RaceDetector::endLaunch() {
@@ -55,7 +32,6 @@ void RaceDetector::endLaunch() {
     const int n = static_cast<int>(logs_.size());
     for (int a = 0; a < n; ++a) {
         for (int b = a + 1; b < n; ++b) {
-            if (ordered(a, b)) continue; // event-sequenced, not concurrent
             for (const AccessRecord& ra : logs_[static_cast<std::size_t>(a)].records) {
                 for (const AccessRecord& rb : logs_[static_cast<std::size_t>(b)].records) {
                     if (ra.fabId != rb.fabId) continue;
@@ -80,17 +56,14 @@ void RaceDetector::endLaunch() {
         }
     }
     logs_.clear();
-    order_.clear();
 }
 
 RaceDetector::TaskScope::TaskScope(int task) {
     tlTaskLog = instance().log(task);
-    tlTaskIndex = task;
 }
 
 RaceDetector::TaskScope::~TaskScope() {
     tlTaskLog = nullptr;
-    tlTaskIndex = -1;
 }
 
 } // namespace crocco::check

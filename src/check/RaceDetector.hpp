@@ -4,8 +4,6 @@
 #include "check/FabShadow.hpp"
 
 #include <cstdint>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 namespace crocco::check {
@@ -73,21 +71,6 @@ public:
 
     std::uint64_t launches() const { return launches_; }
 
-    /// Record a happens-before edge inside the active launch: everything
-    /// task `before` did precedes everything task `after` does from here
-    /// on. Established by a gpu::Event signal/wait pair; the contract is
-    /// that the signaler signals as its *last* action and the waiter waits
-    /// as its *first* — then the pairwise conflict scan may legitimately
-    /// skip the ordered pair (the split advance's End-drain writes ghosts
-    /// that the halo tasks read, which is sequencing, not a race).
-    /// Thread-safe (multiple waiters record concurrently); no-op when no
-    /// launch is active.
-    void addHappensBefore(int before, int after);
-
-    /// Task index bound to the calling worker by TaskScope, or -1 when the
-    /// caller is not running a task of a tracked launch.
-    static int currentTask();
-
     /// RAII binding of the calling worker to task `task` for the duration
     /// of one task body (installed by ThreadPool's stripe loop).
     class TaskScope {
@@ -99,13 +82,9 @@ public:
     };
 
 private:
-    bool ordered(int a, int b) const;
-
     bool active_ = false;
     std::uint64_t launches_ = 0;
     std::vector<TaskLog> logs_;
-    std::mutex orderM_;
-    std::vector<std::pair<int, int>> order_; ///< (before, after) edges, this launch
 };
 
 /// Worker-local log of the task currently executing (nullptr outside a

@@ -74,13 +74,6 @@ public:
         bool commCache = true;
         /// LRU bound on distinct cached patterns (`amr.comm_cache_size`).
         int commCacheCapacity = 64;
-        /// Communication/computation overlap (`core.overlap`): split each
-        /// RK3 stage into FillPatchBegin -> interior WENO/viscous pass over
-        /// ghost-independent shrunk boxes -> FillPatchEnd -> halo-strip
-        /// pass. Bitwise-identical to the serial path (every valid cell
-        /// receives the same per-cell update sequence with the same
-        /// operands); default off so existing decks are unchanged.
-        bool overlap = false;
         /// Fused RHS pipeline (`core.fused`): decode primitives/metrics
         /// once per stage into a shared cache, collapse each WENO sweep's
         /// flux+divergence into one pencil pass (no face-flux fab), fuse
@@ -88,7 +81,7 @@ public:
         /// per-fab sub-kernels of each phase into a single counted launch.
         /// Bitwise-identical to the unfused path (pinned by
         /// tests/core/fused_rhs_test); default off so existing decks are
-        /// unchanged. Composes with `core.overlap`.
+        /// unchanged.
         bool fused = false;
         /// Health-check + rollback/retry policy applied by step().
         resilience::GuardConfig guard;
@@ -279,23 +272,9 @@ private:
     /// accumulation into dU.
     void computeRhsFused(int lev, const amr::MultiFab& Sborder,
                          amr::MultiFab& dU);
-    /// Split FillPatch used by the overlapped advance (Config::overlap):
-    /// Begin posts the same-level ghost exchange without draining it, End
-    /// drains it and finishes the fill (coarse interp + BCs for lev > 0).
-    void fillPatchBegin(int lev, amr::MultiFab& dst);
-    void fillPatchEnd(int lev, amr::MultiFab& dst);
     /// The stencil-dependency width of one RHS evaluation: cells within
     /// this distance of a patch boundary read ghost data.
     int rhsGhostWidth() const;
-    /// RHS over the ghost-independent interior of every fab — safe to run
-    /// between fillPatchBegin and fillPatchEnd.
-    void computeRhsInterior(int lev, const amr::MultiFab& Sborder,
-                            amr::MultiFab& dU);
-    /// One fused launch: task 0 completes the exchange (fillPatchEnd) and
-    /// signals; the remaining tasks wait on the signal, then evaluate the
-    /// RHS over each fab's halo strips (validBox minus the interior).
-    void computeRhsHaloAndEnd(int lev, amr::MultiFab& Sborder,
-                              amr::MultiFab& dU);
     const amr::Interpolater& interpolater() const;
     Real computeDtAllLevels();
     /// ULFM-style rank-death recovery: shrink the communicator, rebuild

@@ -59,10 +59,10 @@ struct V100Model {
 
     /// Modeled cost of one stream-ordered asynchronous ghost copy: the
     /// copy-engine dispatch plus staging the payload through HBM (read +
-    /// write). This is the *non-overlappable* device-side cost a
-    /// fillBoundaryBegin pays per descriptor; the network transit itself
-    /// is charged by machine::NetworkModel and can hide behind interior
-    /// compute.
+    /// write). This is the *non-overlappable* device-side cost a posted
+    /// (nonblocking) ghost exchange would pay per descriptor in the
+    /// modeled overlap; the network transit itself is charged by
+    /// machine::NetworkModel and can hide behind interior compute.
     double asyncCopyTime(std::int64_t bytes) const {
         return copyEngineDispatch + 2.0 * static_cast<double>(bytes) / bwDram;
     }

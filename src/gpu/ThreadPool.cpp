@@ -19,18 +19,7 @@ namespace crocco::gpu {
 namespace {
 thread_local bool tlInTask = false;
 thread_local bool tlInBatch = false;
-thread_local const char* tlLaunchTag = nullptr;
 } // namespace
-
-ScopedLaunchTag::ScopedLaunchTag(const char* tag) : prev_(tlLaunchTag) {
-    tlLaunchTag = tag;
-}
-
-ScopedLaunchTag::~ScopedLaunchTag() { tlLaunchTag = prev_; }
-
-const char* ScopedLaunchTag::current() {
-    return tlLaunchTag ? tlLaunchTag : "";
-}
 
 BatchedPhaseScope::BatchedPhaseScope() : prev_(tlInBatch) { tlInBatch = true; }
 
@@ -178,8 +167,7 @@ void ThreadPool::run(int ntasks, const std::function<void(int)>& f) {
                         std::chrono::steady_clock::now() - t0)
                         .count();
             }
-            impl_->trace.push_back(
-                TracedLaunch{ScopedLaunchTag::current(), std::move(taskNs)});
+            impl_->trace.push_back(TracedLaunch{std::move(taskNs)});
             return;
         }
         for (int t = 0; t < ntasks; ++t) f(t);

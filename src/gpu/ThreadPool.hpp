@@ -1,34 +1,14 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 namespace crocco::gpu {
 
-/// One top-level launch recorded by ThreadPool schedule tracing: the tag
-/// active at launch (see ScopedLaunchTag) and each task's serial duration.
+/// One top-level launch recorded by ThreadPool schedule tracing: each
+/// task's serial duration.
 struct TracedLaunch {
-    std::string tag;
     std::vector<double> taskNs;
-};
-
-/// RAII label applied to every launch traced while in scope — lets
-/// bench/overlap tell the interior-pass launches from the fused halo+End
-/// launch from everything else. Cheap (one thread_local pointer), so call
-/// sites may tag unconditionally whether or not tracing is active.
-class ScopedLaunchTag {
-public:
-    explicit ScopedLaunchTag(const char* tag);
-    ~ScopedLaunchTag();
-    ScopedLaunchTag(const ScopedLaunchTag&) = delete;
-    ScopedLaunchTag& operator=(const ScopedLaunchTag&) = delete;
-
-    /// Tag of the innermost live scope on this thread ("" when none).
-    static const char* current();
-
-private:
-    const char* prev_;
 };
 
 /// RAII marker for one task of a *batched* launch (the fused RHS pipeline's
@@ -96,10 +76,10 @@ public:
     /// the calling thread after all tasks finish.
     void run(int ntasks, const std::function<void(int)>& f);
 
-    /// Schedule tracing (bench/thread_scaling, bench/overlap support).
+    /// Schedule tracing (bench/thread_scaling, bench/fused_rhs support).
     /// While active — it requires numThreads() == 1 — every top-level run()
-    /// records its tasks' serial durations (ns) plus the active
-    /// ScopedLaunchTag, one TracedLaunch per launch, so a bench can compute
+    /// records its tasks' serial durations (ns), one TracedLaunch per
+    /// launch, so a bench can compute
     /// the critical path of the deterministic stripe schedule (task t on
     /// thread t % T) at any hypothetical thread count without executing it.
     /// Nested launches are serial by contract and charge their parent task.

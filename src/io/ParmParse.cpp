@@ -210,7 +210,6 @@ core::CroccoAmr::Config ParmParse::makeConfig(core::CroccoAmr::Config cfg) const
     query("amr.comm_cache_size", cfg.commCacheCapacity);
     if (cfg.commCacheCapacity < 0)
         throw std::runtime_error("amr.comm_cache_size: must be >= 0");
-    query("core.overlap", cfg.overlap);
     query("core.fused", cfg.fused);
 
     query("resilience.health_checks", cfg.guard.enabled);

@@ -57,13 +57,13 @@ public:
     ///   gpu.num_threads (0 = auto; the GPU_NUM_THREADS environment
     ///   variable overrides the deck), amr.comm_cache (on|off),
     ///   amr.comm_cache_size (LRU pattern bound, >= 0),
-    ///   core.overlap (communication/computation overlap, on|off),
     ///   core.fused (fused RHS pipeline: shared primitive cache,
     ///   single-pass WENO flux+divergence, fused RK3 update, batched
     ///   launches; bitwise-identical to the unfused path, default off),
     ///   resilience.health_checks, resilience.max_retries (>= 0),
     ///   resilience.dt_backoff (in (0,1)), resilience.max_faults_reported.
-    /// Unset keys keep the passed-in defaults.
+    /// Unset keys keep the passed-in defaults. Keys not listed here,
+    /// retired ones included, are not queried and stay in unusedKeys().
     core::CroccoAmr::Config makeConfig(core::CroccoAmr::Config defaults = {}) const;
 
 private:

@@ -30,10 +30,13 @@ struct HierarchyMeta {
 };
 
 /// Per-iteration modeled time broken into the regions the paper profiles
-/// with TinyProfiler (Figs. 6-7). The advance is split the way the
-/// overlapped solver splits it (core::CroccoAmr with Config::overlap):
-/// an interior pass over ghost-independent shrunk boxes that can run while
-/// the ghost exchange is in flight, and a halo-strip pass that cannot.
+/// with TinyProfiler (Figs. 6-7). The advance is split into an interior
+/// pass over ghost-independent shrunk boxes, which could run while the
+/// ghost exchange is in flight, and a halo-strip pass that cannot. The
+/// split only feeds the modeled overlapped schedule (totalOverlapped): the
+/// solver itself runs one blocking FillPatch per stage and level, because
+/// an executed overlap measured slower on host hardware and was retired
+/// (docs/performance.md §4).
 struct RegionTimes {
     /// α-β decomposition of one communication region: the busiest rank's
     /// message count and byte volume (summed over RK stages and levels)
@@ -74,8 +77,8 @@ struct RegionTimes {
 
     /// Full WENO/viscous sweep (both passes).
     double advance() const { return advanceInterior + advanceHalo; }
-    /// Communication the serial path waits on (and the overlapped path
-    /// hides behind the interior pass).
+    /// Communication the serial path waits on (and the modeled overlapped
+    /// schedule hides behind the interior pass).
     double commWait() const {
         return fillBoundary + parallelCopy + parallelCopyInterp;
     }

@@ -45,9 +45,9 @@ private:
 /// kind), and a given (seed, schedule, message sequence) reproduces the
 /// same faults every run.
 ///
-/// The injector only decides; SimComm::sendVerified / verifyDelivered
-/// apply the decision to the actual payload copy and run the
-/// detect/NACK/retransmit machinery.
+/// The injector only decides; SimComm::sendVerified applies the decision
+/// to the actual payload copy and runs the detect/NACK/retransmit
+/// machinery.
 class CommFaults {
 public:
     /// Per-message fault probabilities, in [0, 1]; applied in the fixed

@@ -413,51 +413,6 @@ void SimComm::sendVerified(const Transfer& t) {
     }
 }
 
-void SimComm::verifyDelivered(const Transfer& t) {
-    assert(t.deliver && t.payloadCrc && t.deliveredCrc && t.scramble);
-    if (t.src == t.dst) return;
-    if (anyDead_) {
-        checkAlive(t.src, "verifyDelivered");
-        checkAlive(t.dst, "verifyDelivered");
-    }
-    ++fstats_.verified;
-    const std::uint32_t want = t.payloadCrc();
-    std::optional<MessageFault> fault;
-    if (faults_) fault = faults_->decide(t.src, t.dst, t.bytes, t.tag);
-    if (fault) {
-        switch (*fault) {
-            case MessageFault::Corrupt:
-                ++fstats_.corrupted;
-                t.scramble(faults_->corruptionWord());
-                break;
-            case MessageFault::Duplicate:
-                // Second copy of an already-delivered payload: discard.
-                ++fstats_.duplicated;
-                log_.record(Message{t.src, t.dst, t.bytes, t.kind,
-                                    t.tag + "/dup", want});
-                ++fstats_.duplicateDiscards;
-                break;
-            case MessageFault::Drop:
-            case MessageFault::Delay:
-                // The payload is already present by the wait (the stream
-                // drain delivered it); late arrival shows up as one extra
-                // timeout of detection latency, then the local copy wins.
-                ++fstats_.delayed;
-                ++fstats_.timeouts;
-                fstats_.modeledDelaySeconds += timeoutSeconds_;
-                break;
-        }
-    }
-    if (t.deliveredCrc() == want) {
-        ++fstats_.delivered;
-        return;
-    }
-    ++fstats_.crcFailures;
-    ++fstats_.nacks;
-    log_.record(Message{t.dst, t.src, 8, t.kind, t.tag + "/nack", want});
-    recoverTransfer(t, want, true);
-}
-
 // --- Rank failure and recovery -----------------------------------------
 
 void SimComm::killRank(int rank) {

@@ -1,7 +1,7 @@
 // Full-solver acceptance for the rank-pair aggregated exchange
 // (comm.aggregate, docs/performance.md §6): a complete DMR run with regrids
 // must be BITWISE identical with aggregation on and off — across thread
-// counts, composed with the comm/compute overlap and fused-RHS paths, under
+// counts, composed with the fused-RHS path, under
 // a seeded drop+corrupt fault campaign at aggregate granularity, and
 // composed with PR6 rank-death recovery (the satellite regression: the
 // communicator shrink renumbers ranks, so CommCache::noteCommSize must drop
@@ -125,33 +125,30 @@ TEST(AggregateFill, DmrWithRegridsBitwiseIdenticalAcrossThreadCounts) {
     gpu::setNumThreads(1);
 }
 
-TEST(AggregateFill, ComposesWithOverlapAndFusedPipelines) {
-    // 4-combo cross: aggregation must be invisible under every pairing of
-    // the async overlap path (PR4) and the fused RHS pipeline (PR7).
+TEST(AggregateFill, ComposesWithFusedPipeline) {
+    // Aggregation must be invisible with and without the fused RHS
+    // pipeline (PR7).
     CacheReset reset;
     const int nsteps = 6;
-    for (bool overlap : {false, true})
-        for (bool fused : {false, true}) {
-            SCOPED_TRACE("overlap=" + std::to_string(overlap) +
-                         " fused=" + std::to_string(fused));
-            CacheReset::wipe();
-            parallel::SimComm plainComm(4);
-            auto cfg = soakConfig(4);
-            cfg.overlap = overlap;
-            cfg.fused = fused;
-            auto plain = makeSolver(cfg, &plainComm);
-            plain->evolve(nsteps);
+    for (bool fused : {false, true}) {
+        SCOPED_TRACE("fused=" + std::to_string(fused));
+        CacheReset::wipe();
+        parallel::SimComm plainComm(4);
+        auto cfg = soakConfig(4);
+        cfg.fused = fused;
+        auto plain = makeSolver(cfg, &plainComm);
+        plain->evolve(nsteps);
 
-            CacheReset::wipe();
-            parallel::SimComm aggComm(4);
-            cfg.commAggregate = true;
-            auto agg = makeSolver(cfg, &aggComm);
-            agg->evolve(nsteps);
+        CacheReset::wipe();
+        parallel::SimComm aggComm(4);
+        cfg.commAggregate = true;
+        auto agg = makeSolver(cfg, &aggComm);
+        agg->evolve(nsteps);
 
-            expectBitwiseIdentical(*plain, *agg);
-            EXPECT_LT(fillBoundaryMessages(aggComm),
-                      fillBoundaryMessages(plainComm));
-        }
+        expectBitwiseIdentical(*plain, *agg);
+        EXPECT_LT(fillBoundaryMessages(aggComm),
+                  fillBoundaryMessages(plainComm));
+    }
 }
 
 TEST(AggregateFill, SeededDropAndCorruptSoakAtAggregateGranularity) {

@@ -8,11 +8,9 @@
 //
 // Thread counts are swept in-test (1 = serial launches, 8 = striped pool
 // with batched phases), so the _mt ctest variant re-checks the same
-// property under GPU_NUM_THREADS=4 as well. The fused pipeline must also
-// compose with the overlapped advance (all four {overlap, fused} combos
-// agree), and the launch-count/modeled-bytes profiler columns must show the
-// fusion: strictly fewer counted launches and modeled DRAM bytes per WENO
-// region.
+// property under GPU_NUM_THREADS=4 as well. The launch-count/modeled-bytes
+// profiler columns must show the fusion: strictly fewer counted launches
+// and modeled DRAM bytes per WENO region.
 #include "core/CroccoAmr.hpp"
 
 #include "core/FusedRhs.hpp"
@@ -43,12 +41,11 @@ Dmr::Options smallDmr() {
     return o;
 }
 
-std::unique_ptr<CroccoAmr> runDmr(bool fusedPipe, bool overlap, int nsteps) {
+std::unique_ptr<CroccoAmr> runDmr(bool fusedPipe, int nsteps) {
     Dmr dmr(smallDmr());
     auto cfg = dmr.solverConfig(CodeVersion::V20);
     cfg.regridFreq = 2; // include regrids in the compared trajectory
     cfg.fused = fusedPipe;
-    cfg.overlap = overlap;
     auto s = std::make_unique<CroccoAmr>(dmr.geometry(), cfg, dmr.mapping());
     s->init(dmr.initialCondition(), dmr.boundaryConditions());
     s->evolve(nsteps);
@@ -79,8 +76,8 @@ void expectBitwiseEqual(const CroccoAmr& a, const CroccoAmr& b) {
 TEST(FusedRhs, DmrBitwiseIdenticalToUnfusedPath) {
     for (int nthreads : {1, 8}) {
         gpu::setNumThreads(nthreads);
-        auto unfused = runDmr(false, false, 4);
-        auto fusedRun = runDmr(true, false, 4);
+        auto unfused = runDmr(false, 4);
+        auto fusedRun = runDmr(true, 4);
         SCOPED_TRACE("nthreads=" + std::to_string(nthreads));
         expectBitwiseEqual(*unfused, *fusedRun);
         // The fused run exercised the cache phase; the unfused run did not.
@@ -101,36 +98,14 @@ TEST(FusedRhs, DmrBitwiseIdenticalToUnfusedPath) {
     gpu::setNumThreads(1);
 }
 
-TEST(FusedRhs, ComposesWithOverlap) {
-    // All four {overlap, fused} combinations advance the same trajectory
-    // bit-for-bit: fusion changes the kernel structure inside each region,
-    // overlap changes the region decomposition, and neither may change a
-    // single per-cell operand or operation order.
-    for (int nthreads : {1, 8}) {
-        gpu::setNumThreads(nthreads);
-        SCOPED_TRACE("nthreads=" + std::to_string(nthreads));
-        auto base = runDmr(false, false, 3);
-        auto fusedOnly = runDmr(true, false, 3);
-        auto overlapOnly = runDmr(false, true, 3);
-        auto both = runDmr(true, true, 3);
-        expectBitwiseEqual(*base, *fusedOnly);
-        expectBitwiseEqual(*base, *overlapOnly);
-        expectBitwiseEqual(*base, *both);
-        // The combined run exercised the split-region fused pipeline.
-        EXPECT_TRUE(both->profiler().has("AdvanceHalo"));
-        EXPECT_TRUE(both->profiler().has("PrimCache"));
-    }
-    gpu::setNumThreads(1);
-}
-
 TEST(FusedRhs, ThreadCountDoesNotChangeFusedResults) {
     // Determinism within the fused path itself: batched phases tile fabs
     // onto workers, but every dU cell is owned by exactly one pencil/fab,
     // so the striped pool reproduces the serial-launch run bit-for-bit.
     gpu::setNumThreads(1);
-    auto t1 = runDmr(true, false, 3);
+    auto t1 = runDmr(true, 3);
     gpu::setNumThreads(8);
-    auto t8 = runDmr(true, false, 3);
+    auto t8 = runDmr(true, 3);
     gpu::setNumThreads(1);
     expectBitwiseEqual(*t1, *t8);
 }

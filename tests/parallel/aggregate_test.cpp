@@ -230,41 +230,6 @@ TEST(AggregateExchange, ParallelCopyAggregatesAcrossLayouts) {
         EXPECT_EQ(m.kind, parallel::MessageKind::ParallelCopy);
 }
 
-// ----------------------------------------------------- async Begin / End
-
-TEST(AggregateExchange, AsyncAggregatedMatchesBlockingAggregated) {
-    const Box domain(IntVect::zero(), IntVect(15));
-    Geometry geom(domain, {0, 0, 0}, {1, 1, 1}, Periodicity::all());
-    BoxArray ba(tiledBoxes(domain, 8));
-    DistributionMapping dm(ba, 3);
-
-    CacheGuard guard(true);
-    parallel::SimComm syncComm(3), asyncComm(3);
-    MultiFab sync(ba, dm, 2, 3, &syncComm);
-    MultiFab async(ba, dm, 2, 3, &asyncComm);
-    fillField(sync);
-    fillField(async);
-
-    sync.fillBoundary(geom);
-    async.fillBoundaryBegin(geom);
-    EXPECT_TRUE(async.fillBoundaryInFlight());
-    async.fillBoundaryEnd();
-    EXPECT_FALSE(async.fillBoundaryInFlight());
-
-    expectSameGhosts(sync, async);
-    const auto& ms = syncComm.log().messages();
-    const auto& ma = asyncComm.log().messages();
-    ASSERT_EQ(ms.size(), ma.size());
-    ASSERT_GT(ms.size(), 0u);
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-        EXPECT_EQ(ms[i].src, ma[i].src);
-        EXPECT_EQ(ms[i].dst, ma[i].dst);
-        EXPECT_EQ(ms[i].bytes, ma[i].bytes);
-        EXPECT_EQ(ms[i].kind, ma[i].kind);
-        EXPECT_EQ(ms[i].tag, ma[i].tag);
-    }
-}
-
 // ------------------------------------------------------ verified exchange
 
 TEST(AggregateExchange, VerifiedAggregateStampsOneCrcPerPairMessage) {

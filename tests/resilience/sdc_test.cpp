@@ -268,9 +268,11 @@ TEST(ArenaCanary, OutOfBoxOverrunTripsTheCanary) {
     const Box b(IntVect::zero(), IntVect{3, 3, 3});
     amr::FArrayBox fab(b, 2, 1.0);
     // One element past the payload is exactly the guard slot (Fortran
-    // order: the overrun every off-by-one kernel loop produces).
+    // order: the overrun every off-by-one kernel loop produces). The write
+    // goes through the raw pointer: a CROCCO_CHECK build's bounds-checked
+    // accessor would stop it first, and the canary must catch it in both.
     auto a = fab.array();
-    a(b.bigEnd()[0] + 1, b.bigEnd()[1], b.bigEnd()[2], 1) = 0.0;
+    a.p[fab.size()] = 0.0;
     EXPECT_FALSE(fab.canaryIntact());
 }
 
@@ -282,7 +284,7 @@ TEST(ArenaCanary, ScratchPoolDiscardsTrippedBuffersAndCountsThem) {
     {
         auto lease = pool.acquire(b, 1);
         auto a = lease.fab().array();
-        a(b.bigEnd()[0] + 1, 0, 0, 0) = 0.0; // overrun
+        a.p[lease.fab().size()] = 0.0; // overrun into the guard slot
     }
     EXPECT_EQ(pool.canaryTrips(), 1u);
     {
