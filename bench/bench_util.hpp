@@ -2,6 +2,7 @@
 
 #include "machine/ScalingSimulator.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,6 +47,25 @@ inline std::vector<machine::ScalingCase> strongCases(core::CodeVersion v) {
     for (int nodes : {16, 32, 64, 128, 256, 512, 1024})
         cases.push_back({v, nodes, 1270000000ll});
     return cases;
+}
+
+/// Median and interquartile range of a set of measured times (linear
+/// interpolation between order statistics).
+struct Quartiles {
+    double p25 = 0.0, p50 = 0.0, p75 = 0.0;
+    double iqr() const { return p75 - p25; }
+};
+
+inline Quartiles quartiles(std::vector<double> v) {
+    if (v.empty()) return {};
+    std::sort(v.begin(), v.end());
+    auto at = [&](double q) {
+        const double x = q * static_cast<double>(v.size() - 1);
+        const auto lo = static_cast<std::size_t>(x);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (x - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
 }
 
 } // namespace crocco::bench

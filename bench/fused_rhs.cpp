@@ -15,8 +15,9 @@
 //   * the modeled V100 step time: traffic / bwDram + launches x
 //     launchOverhead — the quantity the fusion actually moves on a real
 //     GPU, where per-fab launch overhead dominates deep-AMR levels;
-//   * the executed host critical path of the traced launches at 1/4/8
-//     worker threads (the proxy-execution structural win).
+//   * the measured host wall time of one step at 1/2/4/8 worker threads
+//     (median and interquartile range over repeated steps, thread counts
+//     and pipelines interleaved step by step).
 //
 // Both pipelines compute bitwise-identical states (pinned by tests/core/
 // fused_rhs_test), so the comparison is pure structure. The bench SELF-
@@ -26,6 +27,7 @@
 // BENCH_PR7.json by run_bench_pr7.sh); readable table on stderr. Also
 // emits the ScalingSimulator weak-scaling sweep at 1..4096 nodes with
 // Params::fusedPipeline off vs on.
+#include "bench_util.hpp"
 #include "core/CroccoAmr.hpp"
 #include "gpu/LaunchStats.hpp"
 #include "gpu/ThreadPool.hpp"
@@ -33,7 +35,6 @@
 #include "parallel/SimComm.hpp"
 #include "problems/Dmr.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -50,36 +51,22 @@ double toNs(Clock::duration d) {
     return std::chrono::duration<double, std::nano>(d).count();
 }
 
-double criticalPathNs(const std::vector<double>& taskNs, int nthreads) {
-    double worst = 0.0;
-    for (int t = 0; t < nthreads; ++t) {
-        double stripe = 0.0;
-        for (std::size_t f = static_cast<std::size_t>(t); f < taskNs.size();
-             f += static_cast<std::size_t>(nthreads))
-            stripe += taskNs[f];
-        worst = std::max(worst, stripe);
-    }
-    return worst;
-}
-
 const char* kRegions[] = {"PrimCache", "WENOx",       "WENOy", "WENOz",
                           "Viscous",   "AdvanceHalo", "Update"};
+
+constexpr int kThreadCounts[] = {1, 2, 4, 8};
+constexpr int kCounts = 4;
 
 struct StepMeasure {
     std::uint64_t launches = 0; ///< counted launches of the step
     double modeledBytes = 0.0;  ///< per-region modeled DRAM bytes summed
-    double wallNs = 0.0;
-    std::vector<std::vector<double>> trace; ///< per-launch task durations
-    double points = 0.0;                    ///< valid points over all levels
+    double points = 0.0;        ///< valid points over all levels
+    std::vector<double> wallNs[kCounts]; ///< timed steps per thread count
 };
 
-StepMeasure measureOneStep(bool fusedPipe) {
-    problems::Dmr::Options opts;
-    opts.nx = 64;
-    opts.ny = 48;
-    opts.nz = 32;
-    opts.maxLevel = 2;
-    problems::Dmr dmr(opts);
+std::unique_ptr<core::CroccoAmr> makeSolver(const problems::Dmr& dmr,
+                                            parallel::SimComm& comm,
+                                            bool fusedPipe) {
     auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     // BENCH_PR4.json's configuration: fat boxes from loose clustering, many
     // fabs per level, the high-order WENO interpolator, frozen hierarchy.
@@ -88,40 +75,62 @@ StepMeasure measureOneStep(bool fusedPipe) {
     cfg.interp = core::InterpChoice::Weno;
     cfg.regridFreq = 1000;
     cfg.fused = fusedPipe;
-    cfg.nranks = 8;
-    parallel::SimComm comm(static_cast<int>(cfg.nranks));
-    core::CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping(), &comm);
-    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+    cfg.nranks = comm.size();
+    auto solver =
+        std::make_unique<core::CroccoAmr>(dmr.geometry(), cfg, dmr.mapping(), &comm);
+    solver->init(dmr.initialCondition(), dmr.boundaryConditions());
     gpu::setNumThreads(1);
-    solver.evolve(2); // warm the comm-pattern cache and the scratch pool
+    solver->evolve(2); // warm the comm-pattern cache and the scratch pool
+    return solver;
+}
 
-    StepMeasure sm;
+/// Launches and modeled bytes of one steady-state step.
+void countOneStep(core::CroccoAmr& solver, StepMeasure& sm) {
     for (int lev = 0; lev <= solver.finestLevel(); ++lev) {
         const auto& mf = solver.state(lev);
         for (int f = 0; f < mf.numFabs(); ++f)
             sm.points += static_cast<double>(mf.validBox(f).numPts());
     }
-
     double bytes0 = 0.0;
     for (const char* r : kRegions) bytes0 += solver.profiler().modeledBytes(r);
     const std::uint64_t launches0 = gpu::LaunchStats::count();
-    auto& tp = gpu::ThreadPool::instance();
-    tp.beginScheduleTrace();
-    const auto t0 = Clock::now();
     solver.step();
-    sm.wallNs = toNs(Clock::now() - t0);
-    for (const auto& l : tp.endScheduleTrace()) sm.trace.push_back(l.taskNs);
     sm.launches = gpu::LaunchStats::count() - launches0;
     for (const char* r : kRegions) sm.modeledBytes += solver.profiler().modeledBytes(r);
     sm.modeledBytes -= bytes0;
-    return sm;
+}
+
+void timeOneStep(core::CroccoAmr& solver, int countIdx, StepMeasure& sm) {
+    gpu::setNumThreads(kThreadCounts[countIdx]);
+    const auto t0 = Clock::now();
+    solver.step();
+    sm.wallNs[countIdx].push_back(toNs(Clock::now() - t0));
 }
 
 } // namespace
 
 int main() {
-    const StepMeasure unfused = measureOneStep(false);
-    const StepMeasure fused = measureOneStep(true);
+    problems::Dmr::Options opts;
+    opts.nx = 64;
+    opts.ny = 48;
+    opts.nz = 32;
+    opts.maxLevel = 2;
+    const problems::Dmr dmr(opts);
+    parallel::SimComm commUnfused(8), commFused(8);
+    const auto solverUnfused = makeSolver(dmr, commUnfused, false);
+    const auto solverFused = makeSolver(dmr, commFused, true);
+
+    StepMeasure unfused, fused;
+    countOneStep(*solverUnfused, unfused);
+    countOneStep(*solverFused, fused);
+    constexpr int kReps = 3;
+    for (int r = 0; r < kReps; ++r) {
+        for (int i = 0; i < kCounts; ++i) {
+            timeOneStep(*solverUnfused, i, unfused);
+            timeOneStep(*solverFused, i, fused);
+        }
+    }
+    gpu::setNumThreads(1);
 
     constexpr double kStages = 3.0;
     const machine::ScalingSimulator simOff;
@@ -131,15 +140,6 @@ int main() {
         return 1e9 * (sm.modeledBytes / v100.bwDram +
                       static_cast<double>(sm.launches) * v100.launchOverhead);
     };
-    auto executedNs = [](const StepMeasure& sm, int T) {
-        double traced = 0.0, crit = 0.0;
-        for (const auto& l : sm.trace) {
-            for (double t : l) traced += t;
-            crit += criticalPathNs(l, T);
-        }
-        return std::max(0.0, sm.wallNs - traced) + crit;
-    };
-
     const double launchesPerStageUnfused =
         static_cast<double>(unfused.launches) / kStages;
     const double launchesPerStageFused =
@@ -177,19 +177,25 @@ int main() {
     std::printf("  \"modeled_step\": {\"unfused_ns\": %.0f, \"fused_ns\": "
                 "%.0f, \"speedup\": %.3f},\n",
                 modelNs(unfused), modelNs(fused), modeledSpeedup);
+    std::printf("  \"method\": \"steps: measured wall time of one step on "
+                "this host, median and interquartile range over %d steps per "
+                "thread count and pipeline, interleaved step by step\",\n",
+                kReps);
     std::printf("  \"steps\": [\n");
-    const int threadCounts[] = {1, 4, 8};
-    std::fprintf(stderr, "%8s %18s %18s %12s\n", "threads",
-                 "unfused exec ns", "fused exec ns", "exec speedup");
-    for (int i = 0; i < 3; ++i) {
-        const int T = threadCounts[i];
-        const double u = executedNs(unfused, T);
-        const double f = executedNs(fused, T);
-        std::fprintf(stderr, "%8d %18.0f %18.0f %11.2fx\n", T, u, f, u / f);
-        std::printf("    {\"threads\": %d, \"unfused_executed_ns\": %.0f, "
-                    "\"fused_executed_ns\": %.0f, \"executed_speedup\": %.3f, "
-                    "\"modeled_speedup\": %.3f}%s\n",
-                    T, u, f, u / f, modeledSpeedup, i < 2 ? "," : "");
+    std::fprintf(stderr, "%8s %22s %22s %10s\n", "threads",
+                 "unfused ns (IQR)", "fused ns (IQR)", "speedup");
+    for (int i = 0; i < kCounts; ++i) {
+        const bench::Quartiles u = bench::quartiles(unfused.wallNs[i]);
+        const bench::Quartiles f = bench::quartiles(fused.wallNs[i]);
+        std::fprintf(stderr, "%8d %12.0f (%7.0f) %12.0f (%7.0f) %9.2fx\n",
+                     kThreadCounts[i], u.p50, u.iqr(), f.p50, f.iqr(),
+                     u.p50 / f.p50);
+        std::printf("    {\"threads\": %d, \"unfused_wall_ns_p50\": %.0f, "
+                    "\"unfused_wall_ns_iqr\": %.0f, \"fused_wall_ns_p50\": "
+                    "%.0f, \"fused_wall_ns_iqr\": %.0f, \"measured_speedup\": "
+                    "%.3f, \"modeled_speedup\": %.3f}%s\n",
+                    kThreadCounts[i], u.p50, u.iqr(), f.p50, f.iqr(),
+                    u.p50 / f.p50, modeledSpeedup, i < kCounts - 1 ? "," : "");
     }
     std::printf("  ],\n");
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Runs the PR2 perf benches and composes their JSON into BENCH_PR2.json:
 # before/after ns-per-call for the cached communication patterns
-# (bench/comm_cache.cpp) and ns-per-step for the DMR RK3 step at 1/2/4/8
-# worker threads (bench/thread_scaling.cpp).
+# (bench/comm_cache.cpp) and the measured ns-per-step (median and IQR) of
+# the DMR RK3 step at 1/2/4/8 worker threads (bench/thread_scaling.cpp).
 #
 # Usage: bench/run_bench.sh [build-dir] [output.json]
 set -e

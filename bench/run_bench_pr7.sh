@@ -2,8 +2,9 @@
 # Runs the PR7 fused-RHS bench and composes its JSON into BENCH_PR7.json:
 # per-RK3-stage counted launches and modeled DRAM bytes/point for the
 # unfused vs fused pipeline, the modeled V100 step time and speedup, the
-# executed host critical path at 1/4/8 threads, and the ScalingSimulator
-# weak-scaling sweep (Params::fusedPipeline off vs on) at 1..4096 nodes.
+# measured host wall time per step at 1/2/4/8 threads (median and IQR),
+# and the ScalingSimulator weak-scaling sweep (Params::fusedPipeline off vs
+# on) at 1..4096 nodes.
 # The bench binary itself enforces the PR7 gates (>= 2x fewer launches per
 # stage, >= 1.3x modeled step speedup) and exits nonzero on a miss.
 #

@@ -1,31 +1,20 @@
 // PR2 bench: tiled multithreaded kernel execution on the DMR step.
 //
-// Reports the full RK3 step cost at 1/2/4/8 worker threads two ways:
-//
-//  * wall_ns_per_step — measured wall clock on THIS host. On a single-core
-//    container (CI has hardware_concurrency == 1) extra workers cannot make
-//    wall clock faster; the number is recorded for honesty, not as the
-//    headline.
-//  * modeled_ns_per_step — the critical-path time of the deterministic
-//    stripe schedule gpu::ThreadPool executes (task t -> thread t % T).
-//    One step is run with ThreadPool schedule tracing on, which records the
-//    serial duration of every task of every pooled launch (WENO/viscous
-//    drivers, MultiFab setVal/mult/saxpy/reductions); the model then
-//    replaces each launch's serial total with its slowest stripe at T
-//    threads. Everything not pooled (FillBoundary replay copies, FillPatch
-//    interpolation, regrid, health checks) stays serial in the model. This
-//    is the repo's standard methodology: execute the real structure, model
-//    the time (gpu::DeviceModel, parallel::SimComm).
-//
-// modeled(T) = wall(1) - sum_L serial(L) + sum_L criticalPath(L, T) over
-// all pooled launches L of one step.
+// Reports the measured wall time of one full RK3 step at 1/2/4/8 worker
+// threads: the median and interquartile range over repeated steps on the
+// host that runs the bench. The thread counts are interleaved step by step
+// (1, 2, 4, 8, 1, 2, ...) so slow drifts of the host load hit every count
+// alike. The hierarchy is frozen after init, so every timed step does the
+// same work; results are bitwise identical at every thread count (pinned by
+// the *_mt tests), so only the time moves. Counts above the host's core
+// count are oversubscribed and measure the scheduler's overhead there.
 //
 // JSON on stdout (composed into BENCH_PR2.json); table on stderr.
+#include "bench_util.hpp"
 #include "core/CroccoAmr.hpp"
 #include "gpu/ThreadPool.hpp"
 #include "problems/Dmr.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -33,28 +22,6 @@
 
 using namespace crocco;
 using Clock = std::chrono::steady_clock;
-
-namespace {
-
-double toNs(Clock::duration d) {
-    return std::chrono::duration<double, std::nano>(d).count();
-}
-
-/// Slowest stripe of the pool's deterministic schedule: thread t owns tasks
-/// t, t+T, t+2T, ...; the launch completes when the busiest thread does.
-double criticalPathNs(const std::vector<double>& taskNs, int nthreads) {
-    double worst = 0.0;
-    for (int t = 0; t < nthreads; ++t) {
-        double stripe = 0.0;
-        for (std::size_t f = static_cast<std::size_t>(t); f < taskNs.size();
-             f += static_cast<std::size_t>(nthreads))
-            stripe += taskNs[f];
-        worst = std::max(worst, stripe);
-    }
-    return worst;
-}
-
-} // namespace
 
 int main() {
     problems::Dmr::Options opts;
@@ -65,71 +32,57 @@ int main() {
     problems::Dmr dmr(opts);
     auto cfg = dmr.solverConfig(core::CodeVersion::V20);
     // The paper's decomposition knob: chop to 16^3 boxes so every level has
-    // enough fabs to stripe across 8 workers (96x24x8 at max_grid_size 32 is
-    // a mere 3 boxes on level 0 — nothing to balance).
+    // enough fabs to spread across 8 workers (96x24x8 at max_grid_size 32 is
+    // a mere 3 boxes on level 0).
     cfg.amrInfo.maxGridSize = 16;
     cfg.regridFreq = 1000; // freeze the hierarchy after init for stable timing
     core::CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
     solver.init(dmr.initialCondition(), dmr.boundaryConditions());
-    gpu::setNumThreads(1);
-    solver.evolve(2); // warm caches (comm patterns, page faults)
-
-    // Trace every pooled launch of one representative step.
-    auto& pool = gpu::ThreadPool::instance();
-    pool.beginScheduleTrace();
-    solver.step();
-    const auto launches = pool.endScheduleTrace();
-
-    auto kernelNs = [&](int nthreads) {
-        double total = 0.0;
-        for (const auto& l : launches) total += criticalPathNs(l.taskNs, nthreads);
-        return total;
-    };
 
     const int threadCounts[] = {1, 2, 4, 8};
-    double wallNs[4] = {};
-    for (int i = 0; i < 4; ++i) {
-        gpu::setNumThreads(threadCounts[i]);
-        const int reps = 3;
-        const auto t0 = Clock::now();
-        solver.evolve(reps);
-        wallNs[i] = toNs(Clock::now() - t0) / reps;
+    constexpr int kCounts = 4;
+    constexpr int kReps = 15;
+    for (int T : threadCounts) { // warm caches (comm patterns, page faults)
+        gpu::setNumThreads(T);
+        solver.step();
+    }
+    std::vector<double> stepNs[kCounts];
+    for (int r = 0; r < kReps; ++r) {
+        for (int i = 0; i < kCounts; ++i) {
+            gpu::setNumThreads(threadCounts[i]);
+            const auto t0 = Clock::now();
+            solver.step();
+            stepNs[i].push_back(
+                std::chrono::duration<double, std::nano>(Clock::now() - t0).count());
+        }
     }
     gpu::setNumThreads(1);
 
-    const double serialNs = wallNs[0] - kernelNs(1);
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::size_t ntasks = 0;
-    for (const auto& l : launches) ntasks += l.taskNs.size();
+    bench::Quartiles q[kCounts];
+    for (int i = 0; i < kCounts; ++i) q[i] = bench::quartiles(stepNs[i]);
 
-    std::fprintf(stderr,
-                 "traced %zu pooled launches, %zu tasks; pooled fraction of "
-                 "the step: %.0f%%\n",
-                 launches.size(), ntasks, 100.0 * kernelNs(1) / wallNs[0]);
-    std::fprintf(stderr, "%8s %16s %16s %8s\n", "threads", "wall ns/step",
-                 "modeled ns/step", "speedup");
+    const unsigned hw = std::thread::hardware_concurrency();
+    std::fprintf(stderr, "%8s %16s %14s %8s\n", "threads", "median ns/step",
+                 "IQR ns", "speedup");
     std::printf("{\n");
     std::printf("  \"layout\": \"DMR %dx%dx%d, %d levels, max_grid_size %d\",\n",
                 opts.nx, opts.ny, opts.nz, solver.finestLevel() + 1,
                 cfg.amrInfo.maxGridSize);
     std::printf("  \"host_cores\": %u,\n", hw);
-    std::printf("  \"pooled_launches\": %zu,\n", launches.size());
-    std::printf("  \"pooled_fraction\": %.3f,\n", kernelNs(1) / wallNs[0]);
-    std::printf("  \"model\": \"critical path of the deterministic stripe "
-                "schedule (t %% T) over per-task serial times traced from "
-                "every pooled launch of one step; wall_ns is the host wall "
-                "clock, which cannot improve on a %u-core host\",\n",
-                hw);
+    std::printf("  \"method\": \"measured wall time of one RK3 step on this "
+                "host, median and interquartile range over %d steps per "
+                "thread count, thread counts interleaved step by step\",\n",
+                kReps);
     std::printf("  \"steps\": [\n");
-    for (int i = 0; i < 4; ++i) {
-        const int T = threadCounts[i];
-        const double modeled = serialNs + kernelNs(T);
-        const double speedup = wallNs[0] / modeled;
-        std::fprintf(stderr, "%8d %16.0f %16.0f %7.2fx\n", T, wallNs[i], modeled,
-                     speedup);
-        std::printf("    {\"threads\": %d, \"wall_ns_per_step\": %.0f, "
-                    "\"modeled_ns_per_step\": %.0f, \"modeled_speedup\": %.3f}%s\n",
-                    T, wallNs[i], modeled, speedup, i < 3 ? "," : "");
+    for (int i = 0; i < kCounts; ++i) {
+        const double speedup = q[0].p50 / q[i].p50;
+        std::fprintf(stderr, "%8d %16.0f %14.0f %7.2fx\n", threadCounts[i],
+                     q[i].p50, q[i].iqr(), speedup);
+        std::printf("    {\"threads\": %d, \"wall_ns_per_step_p50\": %.0f, "
+                    "\"wall_ns_per_step_iqr\": %.0f, \"measured_speedup\": "
+                    "%.3f}%s\n",
+                    threadCounts[i], q[i].p50, q[i].iqr(), speedup,
+                    i < kCounts - 1 ? "," : "");
     }
     std::printf("  ]\n}\n");
     return 0;

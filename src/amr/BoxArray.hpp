@@ -4,6 +4,7 @@
 #include "amr/BoxList.hpp"
 
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +16,9 @@ namespace crocco::amr {
 /// Intersection queries are the hot path of ghost-cell exchange: they are
 /// served by a spatial hash binning boxes into buckets the size of the
 /// largest box, giving O(1) expected lookups independent of box count. The
-/// hash is built lazily and shared between copies.
+/// hash is built lazily, exactly once (std::call_once), and shared between
+/// copies, so concurrent const queries — e.g. from gpu::ThreadPool tasks —
+/// are safe even when one of them is the first.
 ///
 /// Every non-empty BoxArray carries a cheap identity id: copies share it,
 /// coarsen/refine derive it deterministically from the parent's, and two
@@ -71,6 +74,7 @@ private:
     struct Hash {
         IntVect bucketSize{1, 1, 1};
         std::unordered_map<IntVect, std::vector<int>> buckets;
+        std::once_flag built;
     };
     const Hash& hash() const;
     static std::uint64_t nextId();
@@ -79,7 +83,9 @@ private:
 
     std::vector<Box> boxes_;
     std::uint64_t id_ = 0;
-    mutable std::shared_ptr<const Hash> hash_; // built lazily, shared by copies
+    // Allocated with the boxes (nullptr when empty), filled by the first
+    // query, shared by copies.
+    std::shared_ptr<Hash> hash_;
 };
 
 } // namespace crocco::amr

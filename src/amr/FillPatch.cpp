@@ -1,11 +1,25 @@
 #include "amr/FillPatch.hpp"
 
+#include "gpu/Gpu.hpp"
+
 #include <cassert>
 
 namespace crocco::amr {
 
 namespace {
 int ceilDiv(int a, int b) { return (a + b - 1) / b; }
+
+/// Fab i's coordinate context (empty unless the interpolator needs one).
+InterpContext interpContext(const Interpolater& interp,
+                            const MultiFab& ctmpCoords,
+                            const MultiFab* fineCoords, int i) {
+    InterpContext ctx;
+    if (interp.needsCoordinates()) {
+        ctx.crseCoords = &ctmpCoords.fab(i);
+        ctx.fineCoords = &fineCoords->fab(i);
+    }
+    return ctx;
+}
 } // namespace
 
 std::vector<Box> uncoveredBy(const Box& region, const BoxArray& ba,
@@ -73,18 +87,17 @@ void FillPatchTwoLevels(MultiFab& dst, const MultiFab& fineSrc,
     for (int d = 0; d < SpaceDim; ++d)
         if (fineGeom.isPeriodic(d)) interpDomain = interpDomain.grow(d, ng);
 
-    for (int i = 0; i < dst.numFabs(); ++i) {
-        InterpContext ctx;
-        if (interp.needsCoordinates()) {
-            ctx.crseCoords = &ctmpCoords.fab(i);
-            ctx.fineCoords = &fineCoords->fab(i);
-        }
-        for (const Box& piece :
-             uncoveredBy(dst.grownBox(i) & interpDomain, dst.boxArray(),
-                         fineGeom)) {
+    // The uncovered pieces come first, on the calling thread; then one pool
+    // task per fab interpolates its own pieces into its own dst fab.
+    std::vector<std::vector<Box>> pieces(static_cast<std::size_t>(dst.numFabs()));
+    for (int i = 0; i < dst.numFabs(); ++i)
+        pieces[static_cast<std::size_t>(i)] = uncoveredBy(
+            dst.grownBox(i) & interpDomain, dst.boxArray(), fineGeom);
+    gpu::ParallelForIndex(dst.numFabs(), [&](int i) {
+        const InterpContext ctx = interpContext(interp, ctmpCoords, fineCoords, i);
+        for (const Box& piece : pieces[static_cast<std::size_t>(i)])
             interp.interp(ctmp.fab(i), dst.fab(i), piece, 0, 0, ncomp, ratio, ctx);
-        }
-    }
+    });
 
     // 5. Physical boundary conditions.
     if (fineBC) fineBC(dst, fineGeom, time);
@@ -117,15 +130,11 @@ void InterpFromCoarseLevel(MultiFab& dst, const MultiFab& crseSrc,
     for (int d = 0; d < SpaceDim; ++d)
         if (fineGeom.isPeriodic(d)) interpDomain = interpDomain.grow(d, ng);
 
-    for (int i = 0; i < dst.numFabs(); ++i) {
-        InterpContext ctx;
-        if (interp.needsCoordinates()) {
-            ctx.crseCoords = &ctmpCoords.fab(i);
-            ctx.fineCoords = &fineCoords->fab(i);
-        }
+    gpu::ParallelForIndex(dst.numFabs(), [&](int i) {
         interp.interp(ctmp.fab(i), dst.fab(i), dst.grownBox(i) & interpDomain, 0,
-                      0, ncomp, ratio, ctx);
-    }
+                      0, ncomp, ratio,
+                      interpContext(interp, ctmpCoords, fineCoords, i));
+    });
     if (fineBC) fineBC(dst, fineGeom, time);
 }
 

@@ -72,7 +72,8 @@ public:
     std::uint64_t launches() const { return launches_; }
 
     /// RAII binding of the calling worker to task `task` for the duration
-    /// of one task body (installed by ThreadPool's stripe loop).
+    /// of one task body (installed by ThreadPool's claim loop around every
+    /// task it claims, on whichever thread claims it).
     class TaskScope {
     public:
         explicit TaskScope(int task);

@@ -241,10 +241,14 @@ double levelValidPts(const MultiFab& mf) {
 } // namespace
 
 void CroccoAmr::computeRhs(int lev, const MultiFab& Sborder, MultiFab& dU) {
-    // Fab-level tiled parallelism: each worker owns whole fabs (disjoint dU
-    // writes, read-only Sborder/metrics, per-call kernel scratch), so every
-    // thread count produces bitwise-identical dU. The profiler scopes stay
-    // outside the parallel region — TinyProfiler is not thread-safe.
+    // Each WENO sweep runs as one cost-ordered tile list over the level's
+    // fabs: tiles cut across the sweep direction own disjoint dU cells and
+    // evaluate the exact per-cell expressions of the whole-fab sweep (read-
+    // only Sborder/metrics, per-call kernel scratch), so every thread count
+    // and claim order produces bitwise-identical dU. Viscous keeps one task
+    // per fab (its stencil needs halos in every direction). The profiler
+    // scopes stay outside the parallel region — TinyProfiler is not
+    // thread-safe.
     const auto dxi = geom(lev).cellSizeArray();
     const double pts = levelValidPts(dU);
     static const char* wenoNames[3] = {"WENOx", "WENOy", "WENOz"};
@@ -252,11 +256,14 @@ void CroccoAmr::computeRhs(int lev, const MultiFab& Sborder, MultiFab& dU) {
         perf::TinyProfiler::Scope scope(prof_, wenoNames[dir]);
         prof_.addBytes(wenoNames[dir],
                        wenoKernelProfile().dramBytesPerPoint * pts);
-        gpu::ParallelForIndex(dU.numFabs(), [&](int f) {
-            wenoFlux(dir, Sborder.const_array(f), metrics_[lev].const_array(f),
-                     dU.validBox(f), dU.array(f), dxi[static_cast<std::size_t>(dir)],
-                     cfg_.gas, cfg_.scheme, cfg_.variant, cfg_.recon);
-        });
+        gpu::ParallelForTiles(
+            gpu::sweepTiles(dU.boxArray().boxes(), dir),
+            [&](const gpu::FabTile& tile) {
+                wenoFlux(dir, Sborder.const_array(tile.fab),
+                         metrics_[lev].const_array(tile.fab), tile.box,
+                         dU.array(tile.fab), dxi[static_cast<std::size_t>(dir)],
+                         cfg_.gas, cfg_.scheme, cfg_.variant, cfg_.recon);
+            });
     }
     if (cfg_.gas.viscous() || cfg_.sgs.active()) {
         perf::TinyProfiler::Scope scope(prof_, "Viscous");

@@ -4,6 +4,7 @@
 #include "gpu/LaunchStats.hpp"
 #include "gpu/ThreadPool.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -23,13 +24,13 @@ using amr::Box;
 /// execution-time cost of running on a V100 is charged separately by
 /// DeviceModel.
 ///
-/// Execution is tiled over k-slabs and dispatched onto the deterministic
-/// ThreadPool: with gpu.num_threads > 1 the slabs of one launch run
-/// concurrently, each slab on a fixed thread. Per-cell kernels write
-/// disjoint cells, so results are bitwise identical for every thread count;
-/// reductions combine fixed-decomposition partials in slab order for the
-/// same guarantee. `launch` (whole-box kernels with interior loop-carried
-/// dependencies) is never auto-parallelized.
+/// Execution is tiled over k-slabs and dispatched onto the ThreadPool: with
+/// gpu.num_threads > 1 the slabs of one launch run concurrently, claimed by
+/// whichever thread is free. Per-cell kernels write disjoint cells, so
+/// results are bitwise identical for every thread count and claim order;
+/// reductions write one partial per slab and combine them in slab order
+/// for the same guarantee. `launch` (whole-box kernels with interior
+/// loop-carried dependencies) is never auto-parallelized.
 ///
 /// Under -DCROCCO_CHECK every pool-parallel launch is watched by the
 /// check::RaceDetector: overlapping same-fab writes (or read-write pairs)
@@ -101,7 +102,7 @@ inline void ParallelForIndex(int n, F&& f) {
 /// `kernelsPerTask` launches once, flat in the fab count; the gpu::
 /// ParallelFor calls made inside f run under a BatchedPhaseScope and are
 /// not counted again. Execution semantics are identical to
-/// ParallelForIndex (same pool, same deterministic stripe schedule).
+/// ParallelForIndex (same pool, same claim scheduler).
 template <typename F>
 inline void BatchedParallelForIndex(int n, int kernelsPerTask, F&& f) {
     if (n <= 0) return;
@@ -109,6 +110,65 @@ inline void BatchedParallelForIndex(int n, int kernelsPerTask, F&& f) {
     ThreadPool::instance().run(n, [&](int t) {
         BatchedPhaseScope batch;
         f(t);
+    });
+}
+
+/// One tile of a fab's sweep: a sub-box of fab `fab`'s valid box. The
+/// `lead` tile (the first cut of each fab) stands for the fab's launches.
+struct FabTile {
+    int fab = 0;
+    Box box;
+    bool lead = false;
+};
+
+/// Tile length (cells) of sweepTiles: small enough that the DMR's unequal
+/// boxes split into many similar tasks, large enough that a tile's pencils
+/// still amortize the kernel setup. Fixed, so the decomposition never
+/// depends on the thread count.
+inline constexpr int kSweepTileLen = 8;
+
+/// Cost-ordered tile list for a directional sweep over `boxes` (AMReX-style
+/// logical tiling). Each box is cut into kSweepTileLen-cell slabs along its
+/// longest axis other than `sweepDir` (lowest axis on ties) — never along
+/// the sweep, so tiles share no stencil work — and the list is stable-sorted
+/// largest first, so the claim scheduler starts the expensive tiles early
+/// and ends on small ones. A function of the boxes alone.
+inline std::vector<FabTile> sweepTiles(const std::vector<Box>& boxes,
+                                       int sweepDir) {
+    std::vector<FabTile> tiles;
+    for (int f = 0; f < static_cast<int>(boxes.size()); ++f) {
+        const Box& b = boxes[static_cast<std::size_t>(f)];
+        int cut = -1;
+        for (int d = 0; d < 3; ++d)
+            if (d != sweepDir && (cut < 0 || b.length(d) > b.length(cut))) cut = d;
+        for (int lo = b.smallEnd(cut); lo <= b.bigEnd(cut); lo += kSweepTileLen) {
+            amr::IntVect tlo = b.smallEnd(), thi = b.bigEnd();
+            tlo[cut] = lo;
+            thi[cut] = std::min(lo + kSweepTileLen - 1, b.bigEnd(cut));
+            tiles.push_back({f, Box(tlo, thi), lo == b.smallEnd(cut)});
+        }
+    }
+    std::stable_sort(tiles.begin(), tiles.end(),
+                     [](const FabTile& a, const FabTile& b) {
+                         return a.box.numPts() > b.box.numPts();
+                     });
+    return tiles;
+}
+
+/// Tiled fab-level launch: f(tile) for every tile, one pool task each. A
+/// tile is a sub-block of its fab's launches, not a launch of its own: only
+/// lead tiles count the kernels they launch, so a tiled sweep charges
+/// gpu::LaunchStats exactly what the per-fab sweep does.
+template <typename F>
+inline void ParallelForTiles(const std::vector<FabTile>& tiles, F&& f) {
+    ThreadPool::instance().run(static_cast<int>(tiles.size()), [&](int t) {
+        const FabTile& tile = tiles[static_cast<std::size_t>(t)];
+        if (tile.lead) {
+            f(tile);
+            return;
+        }
+        BatchedPhaseScope subBlock;
+        f(tile);
     });
 }
 

@@ -21,6 +21,9 @@ namespace crocco::gpu {
 ///    launches with per-fab work descriptors: the phase charges
 ///    `kernelsPerTask` launches once, and the nested per-fab launches are
 ///    suppressed while the batch is active (ThreadPool::inBatchedPhase()).
+///  * A *tiled* sweep (gpu::ParallelForTiles) cuts each fab's launch into
+///    tiles; only the fab's lead tile counts its kernels, so the sweep
+///    charges what the one-task-per-fab sweep does.
 ///
 /// perf::TinyProfiler::Scope snapshots count() on entry/exit, giving every
 /// profiled region a launch column; the counter itself is a relaxed atomic

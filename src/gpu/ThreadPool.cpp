@@ -5,12 +5,10 @@
 #endif
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -28,30 +26,32 @@ BatchedPhaseScope::~BatchedPhaseScope() { tlInBatch = prev_; }
 struct ThreadPool::Impl {
     std::mutex m;
     std::condition_variable wake;  // workers wait here for a new epoch
-    std::condition_variable done;  // caller waits here for stripe completion
+    std::condition_variable done;  // caller waits here for the workers
     std::vector<std::thread> workers;
 
     // Job state, guarded by m (read by workers only between wake/done).
     const std::function<void(int)>* job = nullptr;
     int ntasks = 0;
-    int nthreads = 1;
     std::uint64_t epoch = 0; // bumped per run(); workers run once per epoch
     int remaining = 0;       // workers still executing the current epoch
     bool stop = false;
 
+    // The next unclaimed task index of the current launch. Reset under m
+    // before the epoch is bumped, so a worker that sees the new epoch sees
+    // the reset too.
+    std::atomic<int> next{0};
+
     std::exception_ptr firstError;
     std::mutex errM;
 
-    // Schedule tracing (single-threaded only; no locking needed).
-    bool tracing = false;
-    std::vector<TracedLaunch> trace;
-
-    void runStripe(int tid) {
+    // Claim and run tasks until none is left. Which thread runs which task
+    // depends on timing; what a task computes does not (see run()).
+    void claimTasks() {
         tlInTask = true;
         try {
-            for (int t = tid; t < ntasks; t += nthreads) {
+            for (int t = next++; t < ntasks; t = next++) {
 #ifdef CROCCO_CHECK
-                // Bind this worker's Array4 accesses to task t; nested
+                // Bind this thread's Array4 accesses to task t; nested
                 // launches run inline here, so their accesses are charged to
                 // the enclosing task — exactly the serialization rule.
                 check::RaceDetector::TaskScope scope(t);
@@ -65,7 +65,7 @@ struct ThreadPool::Impl {
         tlInTask = false;
     }
 
-    void workerLoop(int tid) {
+    void workerLoop() {
         std::uint64_t seen = 0;
         for (;;) {
             {
@@ -74,7 +74,7 @@ struct ThreadPool::Impl {
                 if (stop) return;
                 seen = epoch;
             }
-            runStripe(tid);
+            claimTasks();
             {
                 std::lock_guard<std::mutex> lk(m);
                 if (--remaining == 0) done.notify_one();
@@ -83,9 +83,7 @@ struct ThreadPool::Impl {
     }
 
     void spawn(int n) {
-        nthreads = n;
-        for (int t = 1; t < n; ++t)
-            workers.emplace_back([this, t] { workerLoop(t); });
+        for (int t = 1; t < n; ++t) workers.emplace_back([this] { workerLoop(); });
     }
 
     void joinAll() {
@@ -141,35 +139,9 @@ void ThreadPool::setNumThreads(int n) {
     impl_->spawn(n);
 }
 
-void ThreadPool::beginScheduleTrace() {
-    if (nthreads_ != 1)
-        throw std::logic_error(
-            "ThreadPool::beginScheduleTrace requires numThreads() == 1");
-    impl_->trace.clear();
-    impl_->tracing = true;
-}
-
-std::vector<TracedLaunch> ThreadPool::endScheduleTrace() {
-    impl_->tracing = false;
-    return std::move(impl_->trace);
-}
-
 void ThreadPool::run(int ntasks, const std::function<void(int)>& f) {
     if (ntasks <= 0) return;
     if (nthreads_ == 1 || ntasks == 1 || tlInTask) {
-        if (impl_->tracing && !tlInTask) {
-            std::vector<double> taskNs(static_cast<std::size_t>(ntasks));
-            for (int t = 0; t < ntasks; ++t) {
-                const auto t0 = std::chrono::steady_clock::now();
-                f(t);
-                taskNs[static_cast<std::size_t>(t)] =
-                    std::chrono::duration<double, std::nano>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-            }
-            impl_->trace.push_back(TracedLaunch{std::move(taskNs)});
-            return;
-        }
         for (int t = 0; t < ntasks; ++t) f(t);
         return;
     }
@@ -180,11 +152,12 @@ void ThreadPool::run(int ntasks, const std::function<void(int)>& f) {
         std::lock_guard<std::mutex> lk(impl_->m);
         impl_->job = &f;
         impl_->ntasks = ntasks;
+        impl_->next = 0;
         impl_->remaining = nthreads_ - 1;
         ++impl_->epoch;
     }
     impl_->wake.notify_all();
-    impl_->runStripe(0); // the caller is thread 0
+    impl_->claimTasks(); // the caller claims tasks alongside the workers
     {
         std::unique_lock<std::mutex> lk(impl_->m);
         impl_->done.wait(lk, [&] { return impl_->remaining == 0; });

@@ -1,21 +1,16 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 namespace crocco::gpu {
 
-/// One top-level launch recorded by ThreadPool schedule tracing: each
-/// task's serial duration.
-struct TracedLaunch {
-    std::vector<double> taskNs;
-};
-
-/// RAII marker for one task of a *batched* launch (the fused RHS pipeline's
-/// launch aggregation): while alive on a thread, gpu::LaunchStats::add()
-/// suppresses counting, because the per-fab sub-kernels executed inside the
-/// batch are work descriptors of one aggregated device launch, not launches
-/// of their own. See gpu::BatchedParallelForIndex.
+/// RAII marker for work that belongs to a launch counted elsewhere: while
+/// alive on a thread, gpu::LaunchStats::add() suppresses counting. Two
+/// users: one task of a *batched* launch (the fused RHS pipeline's launch
+/// aggregation, gpu::BatchedParallelForIndex), whose per-fab sub-kernels
+/// are work descriptors of one aggregated device launch; and a non-lead
+/// tile of a tiled fab sweep (gpu::ParallelForTiles), whose kernels are
+/// sub-blocks of the launches its fab's lead tile counts.
 class BatchedPhaseScope {
 public:
     BatchedPhaseScope();
@@ -32,16 +27,24 @@ private:
 /// kernel execution).
 ///
 /// Design constraints, in order:
-///  1. *Determinism.* There is no work stealing: task t always runs on
-///     thread t % numThreads(), so the tile→thread assignment is a pure
-///     function of (ntasks, numThreads) and never of timing. Combined with
-///     fixed-order combination of reduction partials (see MultiFab norms),
-///     every result is bitwise independent of the thread count.
-///  2. *Safety under nesting.* A task that itself calls ParallelFor (fab-
+///  1. *Determinism.* The caller and the workers claim task indices from one
+///     atomic counter, so which thread runs task t depends on timing — but
+///     what task t computes does not. Tasks write disjoint data, and every
+///     reduction writes per-task partials that the caller combines in task
+///     order after the launch (ReduceMin/ReduceMax, MultiFab norms), so
+///     every result is bitwise independent of the thread count and of the
+///     claim order. A task must therefore never depend on which thread runs
+///     it or on which other tasks ran before it.
+///  2. *Balance.* A thread that finishes early claims the next task instead
+///     of idling behind a fixed assignment, so launches whose tasks differ in
+///     cost (unequal boxes, cost-ordered tile lists) keep every thread busy
+///     until the list runs dry. Listing expensive tasks first shortens the
+///     tail (see gpu::ParallelForTiles).
+///  3. *Safety under nesting.* A task that itself calls ParallelFor (fab-
 ///     level parallelism over kernels that launch per-cell loops) must not
 ///     deadlock: nested launches detect they are inside a pool task and run
 ///     serially, exactly as nested device launches serialize on one stream.
-///  3. *1 thread == today's behavior.* With numThreads() == 1 nothing is
+///  4. *1 thread == today's behavior.* With numThreads() == 1 nothing is
 ///     dispatched and callers' serial Fortran-order loops are preserved.
 ///
 /// Configured via the ParmParse key `gpu.num_threads`; the environment
@@ -65,27 +68,19 @@ public:
     static bool inParallelRegion();
 
     /// True while the calling thread is inside a BatchedPhaseScope (used by
-    /// gpu::LaunchStats to fold a batched phase's per-fab sub-kernels into
-    /// the batch's launch count).
+    /// gpu::LaunchStats to fold a batched phase's per-fab sub-kernels, or a
+    /// non-lead tile's kernels, into the launches counted for them).
     static bool inBatchedPhase();
 
-    /// Run f(t) for every t in [0, ntasks). f must write disjoint data for
-    /// distinct t (the per-cell kernel contract). Runs serially in task
-    /// order when numThreads() == 1, ntasks <= 1, or when nested inside
-    /// another run(). The first exception thrown by any task is rethrown on
-    /// the calling thread after all tasks finish.
+    /// Run f(t) exactly once for every t in [0, ntasks), in any order and
+    /// on any thread: the caller and the workers claim indices from a shared
+    /// counter until none is left. f must write disjoint data for distinct t
+    /// (the per-cell kernel contract). Runs serially in task order when
+    /// numThreads() == 1, ntasks <= 1, or when nested inside another run().
+    /// A throwing task stops its thread's claiming; the other threads finish
+    /// the remaining tasks, and the first exception caught is rethrown on
+    /// the calling thread once every thread has stopped.
     void run(int ntasks, const std::function<void(int)>& f);
-
-    /// Schedule tracing (bench/thread_scaling, bench/fused_rhs support).
-    /// While active — it requires numThreads() == 1 — every top-level run()
-    /// records its tasks' serial durations (ns), one TracedLaunch per
-    /// launch, so a bench can compute
-    /// the critical path of the deterministic stripe schedule (task t on
-    /// thread t % T) at any hypothetical thread count without executing it.
-    /// Nested launches are serial by contract and charge their parent task.
-    void beginScheduleTrace();
-    /// Stop tracing and return the launches recorded since begin.
-    std::vector<TracedLaunch> endScheduleTrace();
 
     ~ThreadPool();
     ThreadPool(const ThreadPool&) = delete;

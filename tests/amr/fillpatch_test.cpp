@@ -1,5 +1,10 @@
 #include "amr/FillPatch.hpp"
 
+#include "core/CroccoAmr.hpp"
+#include "gpu/ThreadPool.hpp"
+#include "problems/Canonical.hpp"
+#include "problems/Dmr.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -224,6 +229,86 @@ TEST(AverageDown, RestrictsExactlyAndConserves) {
     }
     // Conservation: coarse covered sum * 8 == fine sum (equal volumes).
     EXPECT_NEAR(coveredCoarseSum * 8.0, fineSumBefore, 1e-9);
+}
+
+/// Every component of every allocated cell, fab by fab.
+std::vector<Real> allCells(const MultiFab& mf) {
+    std::vector<Real> out;
+    for (int f = 0; f < mf.numFabs(); ++f) {
+        auto a = mf.const_array(f);
+        for (int n = 0; n < mf.nComp(); ++n)
+            forEachCell(mf.grownBox(f), [&](int i, int j, int k) {
+                out.push_back(a(i, j, k, n));
+            });
+    }
+    return out;
+}
+
+/// Both coarse-fine fills of every refined level of `s`, at 1, 4 and 8
+/// threads: one pool task per fab must give bitwise the serial result.
+void expectFillsThreadInvariant(const core::CroccoAmr& s,
+                                const Interpolater& interp,
+                                const PhysBCFunct& bc) {
+    const int saved = gpu::numThreads();
+    ASSERT_GE(s.finestLevel(), 1);
+    for (int lev = 1; lev <= s.finestLevel(); ++lev) {
+        const bool coords = interp.needsCoordinates();
+        const MultiFab* fineCoords = coords ? &s.coords(lev) : nullptr;
+        const MultiFab* crseCoords = coords ? &s.coords(lev - 1) : nullptr;
+        std::vector<Real> twoRef, interpRef;
+        for (int nt : {1, 4, 8}) {
+            gpu::setNumThreads(nt);
+            MultiFab two(s.boxArray(lev), s.dmap(lev), core::NCONS, core::NGHOST);
+            two.setVal(0.0);
+            FillPatchTwoLevels(two, s.state(lev), s.state(lev - 1), s.geom(lev),
+                               s.geom(lev - 1), s.refRatio(), interp, bc, bc,
+                               s.time(), fineCoords, crseCoords);
+            MultiFab fromCrse(s.boxArray(lev), s.dmap(lev), core::NCONS,
+                              core::NGHOST);
+            fromCrse.setVal(0.0);
+            InterpFromCoarseLevel(fromCrse, s.state(lev - 1), s.geom(lev),
+                                  s.geom(lev - 1), s.refRatio(), interp, bc, bc,
+                                  s.time(), fineCoords, crseCoords);
+            if (nt == 1) {
+                twoRef = allCells(two);
+                interpRef = allCells(fromCrse);
+                continue;
+            }
+            EXPECT_TRUE(allCells(two) == twoRef)
+                << "FillPatchTwoLevels level " << lev << " threads=" << nt;
+            EXPECT_TRUE(allCells(fromCrse) == interpRef)
+                << "InterpFromCoarseLevel level " << lev << " threads=" << nt;
+        }
+    }
+    gpu::setNumThreads(saved);
+}
+
+TEST(FillPatchTwoLevels, BitwiseAcrossThreadCountsOnCurvilinearDmr) {
+    problems::Dmr::Options o;
+    o.nx = 32;
+    o.ny = 8;
+    o.nz = 8;
+    o.maxLevel = 2;
+    const problems::Dmr dmr(o);
+    auto cfg = dmr.solverConfig(core::CodeVersion::V20);
+    cfg.amrInfo.maxGridSize = 8; // several fabs per level
+    core::CroccoAmr s(dmr.geometry(), cfg, dmr.mapping());
+    s.init(dmr.initialCondition(), dmr.boundaryConditions());
+    ASSERT_EQ(s.finestLevel(), 2);
+    s.evolve(1);
+    expectFillsThreadInvariant(s, CurvilinearInterp(), dmr.boundaryConditions());
+}
+
+TEST(FillPatchTwoLevels, BitwiseAcrossThreadCountsOnPeriodicVortex) {
+    const problems::IsentropicVortex vortex(32);
+    auto cfg = vortex.solverConfig();
+    cfg.amrInfo.maxLevel = 1;
+    cfg.amrInfo.maxGridSize = 8;
+    cfg.tagging = {core::TagCriterion::DensityGradient, 0.01};
+    core::CroccoAmr s(vortex.geometry(), cfg, vortex.mapping());
+    s.init(vortex.initialCondition(), nullptr);
+    expectFillsThreadInvariant(s, TrilinearInterp(), nullptr);
+    expectFillsThreadInvariant(s, WenoInterp(), nullptr);
 }
 
 } // namespace

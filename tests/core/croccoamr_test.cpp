@@ -1,4 +1,7 @@
 #include "core/CroccoAmr.hpp"
+#include "core/Rk3.hpp"
+
+#include "gpu/Gpu.hpp"
 
 #include "problems/Canonical.hpp"
 #include "problems/Dmr.hpp"
@@ -64,6 +67,36 @@ TEST(CroccoAmr, DmrStepsStablyAndTracksShock) {
                                "Update", "ComputeDt", "Regrid", "AverageDown"}) {
         EXPECT_TRUE(solver.profiler().has(region)) << region;
     }
+}
+
+TEST(CroccoAmr, TiledWenoChargesOneLaunchPerFabKernel) {
+    // The WENO sweeps run as tile lists, but a tile is a sub-block of its
+    // fab's launch: the unfused RHS charges 3 kernels x 3 directions per fab
+    // and stage, exactly as the per-fab sweep did.
+    Dmr dmr(smallDmr());
+    auto cfg = dmr.solverConfig(CodeVersion::V20);
+    ASSERT_EQ(cfg.variant, KernelVariant::Portable);
+    ASSERT_FALSE(cfg.fused);
+    cfg.regridFreq = 1000;
+    CroccoAmr solver(dmr.geometry(), cfg, dmr.mapping());
+    solver.init(dmr.initialCondition(), dmr.boundaryConditions());
+    solver.step();
+    std::int64_t nfabs = 0, ntiles = 0;
+    for (int lev = 0; lev <= solver.finestLevel(); ++lev) {
+        nfabs += solver.boxArray(lev).size();
+        for (int dir = 0; dir < 3; ++dir)
+            ntiles += static_cast<std::int64_t>(
+                gpu::sweepTiles(solver.boxArray(lev).boxes(), dir).size());
+    }
+    ASSERT_GT(ntiles, 3 * nfabs); // the sweeps really are tiled
+    auto wenoLaunches = [&] {
+        return solver.profiler().launches("WENOx") +
+               solver.profiler().launches("WENOy") +
+               solver.profiler().launches("WENOz");
+    };
+    const std::int64_t before = wenoLaunches();
+    solver.step();
+    EXPECT_EQ(wenoLaunches() - before, Rk3::nStages * 9 * nfabs);
 }
 
 TEST(CroccoAmr, FortranAndCppKernelPathsAgreeWithinPaperTolerance) {

@@ -6,8 +6,8 @@
 // the dir-0 assignment reproduces setVal(0) + `-=`, and the fused RK3
 // update performs the mult/saxpy/saxpy chain per cell in order.
 //
-// Thread counts are swept in-test (1 = serial launches, 8 = striped pool
-// with batched phases), so the _mt ctest variant re-checks the same
+// Thread counts are swept in-test (1 = serial launches, 8 = pooled
+// claim-scheduled tasks with batched phases), so the _mt ctest variant re-checks the same
 // property under GPU_NUM_THREADS=4 as well. The launch-count/modeled-bytes
 // profiler columns must show the fusion: strictly fewer counted launches
 // and modeled DRAM bytes per WENO region.
@@ -101,7 +101,7 @@ TEST(FusedRhs, DmrBitwiseIdenticalToUnfusedPath) {
 TEST(FusedRhs, ThreadCountDoesNotChangeFusedResults) {
     // Determinism within the fused path itself: batched phases tile fabs
     // onto workers, but every dU cell is owned by exactly one pencil/fab,
-    // so the striped pool reproduces the serial-launch run bit-for-bit.
+    // so the pooled run reproduces the serial-launch run bit-for-bit.
     gpu::setNumThreads(1);
     auto t1 = runDmr(true, 3);
     gpu::setNumThreads(8);

@@ -1,11 +1,17 @@
 #include "core/Weno.hpp"
 
+#include "amr/FArrayBox.hpp"
+#include "gpu/Gpu.hpp"
+#include "mesh/GridMetrics.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 namespace crocco::core {
 namespace {
+
+using amr::IntVect;
 
 class WenoScheme_P : public ::testing::TestWithParam<WenoScheme> {};
 
@@ -98,6 +104,85 @@ TEST(WenoSymbo, SharperThanJs5OnSmoothData) {
         esy += std::abs(wenoReconstruct(f, WenoScheme::Symbo) - exact);
     }
     EXPECT_LT(esy, ejs);
+}
+
+/// One fab on a wavy curvilinear grid with a smooth state plus a density
+/// jump, so WENO weights, metrics and the characteristic projection all
+/// vary from cell to cell.
+struct TileFixture {
+    amr::FArrayBox coords, metrics, S;
+    GasModel gas;
+    std::array<Real, 3> dxi{0.1, 0.15, 0.2};
+
+    explicit TileFixture(const Box& box) {
+        const Box grown = box.grow(NGHOST);
+        coords = amr::FArrayBox(box.grow(NGHOST + 3), 3);
+        auto x = coords.array();
+        amr::forEachCell(coords.box(), [&](int i, int j, int k) {
+            const Real a = dxi[0] * i, b = dxi[1] * j, c = dxi[2] * k;
+            x(i, j, k, 0) = a + 0.02 * std::sin(3.0 * b + 1.0 * c);
+            x(i, j, k, 1) = b + 0.03 * std::sin(2.0 * a + 0.5 * c);
+            x(i, j, k, 2) = c + 0.01 * std::cos(1.5 * a + b);
+        });
+        metrics = amr::FArrayBox(grown, mesh::MetricComps);
+        mesh::computeMetricsFab(coords.const_array(), metrics.array(), grown, dxi);
+        S = amr::FArrayBox(grown, NCONS);
+        auto s = S.array();
+        amr::forEachCell(grown, [&](int i, int j, int k) {
+            const Real rho = 1.0 + 0.2 * std::sin(0.7 * i + 0.3 * j) +
+                             (i + j > 6 ? 1.5 : 0.0);
+            const Real u = 0.5 + 0.1 * std::cos(0.4 * k), v = -0.2, w = 0.1 * std::sin(0.9 * j);
+            const Real p = 1.0 + 0.3 * std::cos(0.5 * i + 0.2 * k);
+            s(i, j, k, URHO) = rho;
+            s(i, j, k, UMX) = rho * u;
+            s(i, j, k, UMY) = rho * v;
+            s(i, j, k, UMZ) = rho * w;
+            s(i, j, k, UEDEN) = gas.totalEnergy(rho, u, v, w, p);
+        });
+    }
+};
+
+std::vector<Real> fabValues(const amr::FArrayBox& fab) {
+    std::vector<Real> out;
+    auto a = fab.const_array();
+    for (int n = 0; n < fab.nComp(); ++n)
+        amr::forEachCell(fab.box(), [&](int i, int j, int k) { out.push_back(a(i, j, k, n)); });
+    return out;
+}
+
+// A tile list is a decomposition of the fab's sweep, not a new scheme: every
+// cell keeps its per-cell expression, so dU is bitwise the whole-fab dU —
+// for boxes shorter than one tile and for lengths that are not a multiple
+// of the tile length.
+TEST(WenoTiles, TiledSweepBitwiseEqualsWholeFab) {
+    const Box boxes[] = {Box(IntVect{0, 0, 0}, IntVect{4, 5, 6}),
+                         Box(IntVect{-3, 2, 1}, IntVect{15, 14, 10})};
+    for (const Box& box : boxes) {
+        const TileFixture fx(box);
+        for (KernelVariant variant :
+             {KernelVariant::Portable, KernelVariant::FortranStyle}) {
+            for (Reconstruction recon :
+                 {Reconstruction::ComponentWise, Reconstruction::CharacteristicWise}) {
+                for (int dir = 0; dir < 3; ++dir) {
+                    const auto d = static_cast<std::size_t>(dir);
+                    amr::FArrayBox whole(box, NCONS, 0.0), tiled(box, NCONS, 0.0);
+                    wenoFlux(dir, fx.S.const_array(), fx.metrics.const_array(), box,
+                             whole.array(), fx.dxi[d], fx.gas, WenoScheme::Symbo,
+                             variant, recon);
+                    const auto tiles = gpu::sweepTiles({box}, dir);
+                    gpu::ParallelForTiles(tiles, [&](const gpu::FabTile& t) {
+                        wenoFlux(dir, fx.S.const_array(), fx.metrics.const_array(),
+                                 t.box, tiled.array(), fx.dxi[d], fx.gas,
+                                 WenoScheme::Symbo, variant, recon);
+                    });
+                    EXPECT_TRUE(fabValues(tiled) == fabValues(whole))
+                        << "box " << box << " dir " << dir << " variant "
+                        << static_cast<int>(variant) << " recon "
+                        << static_cast<int>(recon) << " tiles " << tiles.size();
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -5,9 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -86,20 +87,136 @@ TEST(ThreadPool, ReduceMinBitwiseIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST(ThreadPool, TaskToThreadAssignmentIsDeterministic) {
+TEST(ThreadPool, EveryTaskRunsExactlyOnce) {
     ThreadGuard guard;
-    setNumThreads(2);
-    const int ntasks = 8;
-    std::vector<std::thread::id> owner(ntasks);
-    ThreadPool::instance().run(ntasks, [&](int t) {
-        owner[static_cast<std::size_t>(t)] = std::this_thread::get_id();
+    for (int nt : {1, 2, 3, 4, 8}) {
+        setNumThreads(nt);
+        for (int ntasks : {1, 2, 7, 64, 1001}) {
+            std::vector<std::atomic<int>> runs(static_cast<std::size_t>(ntasks));
+            ThreadPool::instance().run(ntasks, [&](int t) {
+                runs[static_cast<std::size_t>(t)].fetch_add(1);
+            });
+            for (int t = 0; t < ntasks; ++t)
+                EXPECT_EQ(runs[static_cast<std::size_t>(t)].load(), 1)
+                    << "threads=" << nt << " ntasks=" << ntasks << " task=" << t;
+        }
+    }
+}
+
+/// Deterministic per-key microsecond delay in [0, 200): a seeded hash, so a
+/// seed fixes which tasks (or cells) are slow and thereby which thread gets
+/// to claim what next.
+int delayUs(std::uint64_t seed, std::uint64_t key) {
+    std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + key;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<int>((x ^ (x >> 31)) % 200);
+}
+
+struct ClaimRun {
+    std::vector<double> outputs; ///< one value per task
+    double norm = 0.0;           ///< per-task partials combined in task order
+    double rmin = 0.0, rmax = 0.0;
+};
+
+ClaimRun runWithDelays(std::uint64_t seed) {
+    ClaimRun r;
+    const int ntasks = 48;
+    r.outputs.assign(ntasks, 0.0);
+    std::vector<double> partial(ntasks, 0.0);
+    ParallelForIndex(ntasks, [&](int t) {
+        const auto ut = static_cast<std::size_t>(t);
+        std::this_thread::sleep_for(std::chrono::microseconds(delayUs(seed, ut)));
+        double v = 0.0;
+        for (int m = 1; m <= 200 + t; ++m) v += std::sin(0.37 * m * (t + 1)) / m;
+        r.outputs[ut] = v;
+        partial[ut] = v * v;
     });
-    // No work stealing: task t runs on thread t % numThreads, so tasks with
-    // equal parity share a thread and opposite parity never mix.
-    for (int t = 2; t < ntasks; ++t)
-        EXPECT_EQ(owner[static_cast<std::size_t>(t)],
-                  owner[static_cast<std::size_t>(t - 2)]);
-    EXPECT_NE(owner[0], owner[1]);
+    for (double p : partial) r.norm += p;
+    r.norm = std::sqrt(r.norm);
+
+    const Box b(IntVect{-2, 0, 1}, IntVect{9, 6, 12});
+    auto f = [&](int i, int j, int k) {
+        if (delayUs(seed, static_cast<std::uint64_t>(k)) < 20 && i == 0 && j == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
+        return std::cos(0.31 * i) * std::sin(0.17 * j) + 0.05 * k;
+    };
+    r.rmin = ReduceMin(b, f);
+    r.rmax = ReduceMax(b, f);
+    return r;
+}
+
+// Claim order is timing: seeded per-task sleeps reshuffle which thread
+// claims which task. Outputs and reductions must not notice — bitwise, at
+// every thread count and for every seed.
+TEST(ThreadPool, ClaimOrderNeverChangesResults) {
+    ThreadGuard guard;
+    setNumThreads(1);
+    const ClaimRun ref = runWithDelays(0);
+    for (int nt : {1, 2, 3, 4, 8}) {
+        setNumThreads(nt);
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            const ClaimRun r = runWithDelays(seed);
+            EXPECT_EQ(r.outputs, ref.outputs) << "threads=" << nt << " seed=" << seed;
+            EXPECT_EQ(r.norm, ref.norm) << "threads=" << nt << " seed=" << seed;
+            EXPECT_EQ(r.rmin, ref.rmin) << "threads=" << nt << " seed=" << seed;
+            EXPECT_EQ(r.rmax, ref.rmax) << "threads=" << nt << " seed=" << seed;
+        }
+    }
+}
+
+TEST(SweepTiles, CutAcrossTheSweepLargestFirstOneLeadPerFab) {
+    const std::vector<Box> boxes = {Box(IntVect{0, 0, 0}, IntVect{31, 23, 7}),
+                                    Box(IntVect{32, 0, 0}, IntVect{36, 5, 6}),
+                                    Box(IntVect{0, 24, 0}, IntVect{19, 31, 12})};
+    for (int dir = 0; dir < 3; ++dir) {
+        const std::vector<FabTile> tiles = sweepTiles(boxes, dir);
+        std::vector<std::int64_t> covered(boxes.size(), 0);
+        std::vector<int> leads(boxes.size(), 0);
+        for (std::size_t t = 0; t < tiles.size(); ++t) {
+            const FabTile& tile = tiles[t];
+            const Box& fab = boxes[static_cast<std::size_t>(tile.fab)];
+            EXPECT_TRUE(fab.contains(tile.box));
+            // Never cut along the sweep: every tile spans the fab in `dir`.
+            EXPECT_EQ(tile.box.length(dir), fab.length(dir));
+            int cutAxes = 0;
+            for (int d = 0; d < 3; ++d) {
+                if (tile.box.length(d) == fab.length(d)) continue;
+                ++cutAxes;
+                EXPECT_LE(tile.box.length(d), kSweepTileLen);
+            }
+            EXPECT_LE(cutAxes, 1);
+            if (t > 0) {
+                EXPECT_GE(tiles[t - 1].box.numPts(), tile.box.numPts());
+            }
+            covered[static_cast<std::size_t>(tile.fab)] += tile.box.numPts();
+            leads[static_cast<std::size_t>(tile.fab)] += tile.lead ? 1 : 0;
+        }
+        for (std::size_t f = 0; f < boxes.size(); ++f) {
+            EXPECT_EQ(covered[f], boxes[f].numPts()) << "dir " << dir << " fab " << f;
+            EXPECT_EQ(leads[f], 1) << "dir " << dir << " fab " << f;
+        }
+    }
+    // The fixed tile length, not the thread count, sets the decomposition.
+    EXPECT_EQ(sweepTiles(boxes, 0).size(), 3u + 1u + 2u);
+}
+
+TEST(SweepTiles, OnlyLeadTilesCountLaunches) {
+    ThreadGuard guard;
+    const std::vector<Box> boxes = {Box(IntVect::zero(), IntVect{31, 15, 7}),
+                                    Box(IntVect{32, 0, 0}, IntVect{47, 15, 7})};
+    const auto tiles = sweepTiles(boxes, 0);
+    ASSERT_GT(tiles.size(), boxes.size());
+    for (int nt : {1, 4}) {
+        setNumThreads(nt);
+        const std::uint64_t before = LaunchStats::count();
+        ParallelForTiles(tiles, [&](const FabTile& tile) {
+            ParallelFor(tile.box, [](int, int, int) {});
+            ParallelFor(tile.box, [](int, int, int) {});
+        });
+        // Two kernels per fab, however many tiles each fab was cut into.
+        EXPECT_EQ(LaunchStats::count() - before, 2u * boxes.size()) << "threads=" << nt;
+    }
 }
 
 TEST(ThreadPool, NestedLaunchesSerializeInsteadOfDeadlocking) {
