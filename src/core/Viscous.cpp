@@ -31,6 +31,17 @@ constexpr int QU = 0, QV = 1, QW = 2, QT = 3, QRHO = 4, NPRIM = 5;
 /// Contravariant viscous flux Theta^d: 3 momentum + 1 energy per direction.
 constexpr int thetaComp(int d, int m) { return 4 * d + m; }
 
+/// The SGS eddy viscosity at one cell from the physical velocity gradients
+/// gu[a][b] = du_a/dx_b and the cell's Jacobian. 0.0 when the model is off
+/// (exactly what SgsModel::eddyViscosity returns then), without the filter
+/// width's cbrt.
+inline Real sgsEddyViscosity(const SgsModel& sgs, const Real gu[3][3], Real J,
+                             const std::array<Real, 3>& dxi, Real rho) {
+    if (!sgs.active()) return 0.0;
+    const Real delta = SgsModel::filterWidth(J * dxi[0] * dxi[1] * dxi[2]);
+    return sgs.eddyViscosity(gu, rho, delta);
+}
+
 } // namespace
 
 void viscousFlux(const Array4<const Real>& S, const Array4<const Real>& metrics,
@@ -81,15 +92,8 @@ void viscousFlux(const Array4<const Real>& S, const Array4<const Real>& metrics,
             gT[m] = 0.0;
             for (int d = 0; d < 3; ++d) gT[m] += M[d][m] * gxi[QT][d];
         }
-        // Velocity gradients in the layout the SGS model wants.
-        Real gradU[3][3];
-        for (int a = 0; a < 3; ++a)
-            for (int b = 0; b < 3; ++b) gradU[a][b] = gu[a][b];
         const Real Jloc = jacobian(metrics, i, j, k);
-        const Real delta =
-            SgsModel::filterWidth(Jloc * dxi[0] * dxi[1] * dxi[2]);
-        const Real muT =
-            sgs.eddyViscosity(gradU, qc(i, j, k, QRHO), delta);
+        const Real muT = sgsEddyViscosity(sgs, gu, Jloc, dxi, qc(i, j, k, QRHO));
         const Real mu = gas.viscosity(qc(i, j, k, QT)) + muT;
         const Real lambda = gas.conductivity(qc(i, j, k, QT)) +
                             muT * gas.cp() / sgs.prandtlT;
@@ -166,14 +170,9 @@ void viscousFluxFused(const Array4<const Real>& cache,
             gT[m] = 0.0;
             for (int d = 0; d < 3; ++d) gT[m] += M[d][m] * gxi[QT][d];
         }
-        Real gradU[3][3];
-        for (int a = 0; a < 3; ++a)
-            for (int b = 0; b < 3; ++b) gradU[a][b] = gu[a][b];
         const Real Jloc = cache(i, j, k, fused::QC_J);
-        const Real delta =
-            SgsModel::filterWidth(Jloc * dxi[0] * dxi[1] * dxi[2]);
         const Real muT =
-            sgs.eddyViscosity(gradU, cache(i, j, k, fused::QC_RHO), delta);
+            sgsEddyViscosity(sgs, gu, Jloc, dxi, cache(i, j, k, fused::QC_RHO));
         const Real mu = gas.viscosity(cache(i, j, k, fused::QC_T)) + muT;
         const Real lambda = gas.conductivity(cache(i, j, k, fused::QC_T)) +
                             muT * gas.cp() / sgs.prandtlT;

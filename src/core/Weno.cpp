@@ -1,5 +1,22 @@
 // crocco-analyze:allow-file(R1): the FortranStyle kernel variant mirrors the
 // paper's contiguous-pencil layout and needs the raw pencil base pointers.
+//
+// The WENOx/y/z kernels (Algorithm 2). The Portable variant is the GPU
+// port's three staged kernels: (1) per-cell contravariant flux, (2) one
+// Lax-Friedrichs-split WENO flux per interface, (3) flux difference into dU.
+// Kernel 2 is the bulk of the work. Where the paper gives each interface a
+// GPU thread, the host gives each interface a SIMD lane: one iteration
+// evaluates W = 2 adjacent faces along the unit-stride i axis as GCC vector
+// lanes (one SSE2 register: the baseline x86-64 ISA, no extra compile
+// flag), and the last `len % W` faces of each row run the same formula on
+// scalars.
+//
+// Determinism: wenoReconstruct is one template over the value type, used by
+// the lanes, the scalar remainder, the characteristic-wise path, the
+// FortranStyle variant and the fused sweep. Every lane performs the scalar
+// operation sequence — the max/min folds keep the scalar order and the
+// SYMBO limiter is a select, not a branch — and the baseline -O2 build emits
+// no FMA, so all of them produce the same bits (docs/performance.md §8).
 #include "core/Weno.hpp"
 
 #include "core/Eigen.hpp"
@@ -9,8 +26,8 @@
 #include "gpu/Gpu.hpp"
 #include "mesh/GridMetrics.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace crocco::core {
 
@@ -38,41 +55,103 @@ constexpr Real kWenoEps = 1e-6;
 /// stencils via local relative smoothness").
 constexpr Real kSymboRelLimit = 5.0;
 
-} // namespace
+/// Faces per lane step of kernel 2, and their value type: W adjacent
+/// interfaces along i in one 16-byte SSE2 register, the baseline x86-64
+/// vector width. A 32-byte vector (W = 4) measured slower there, because
+/// GCC splits each of its operations into register pairs, scalarizes every
+/// compare and select, and spills (docs/performance.md §8).
+constexpr int W = 2;
+using Lanes = Real __attribute__((vector_size(W * sizeof(Real))));
 
-Real wenoReconstruct(const Real f[6], WenoScheme scheme) {
+/// std::max(a, b) and std::min(a, b) for either value type: std::max is
+/// `a < b ? b : a` and std::min is `b < a ? b : a`, lane by lane.
+template <class T>
+inline T maxOf(T a, T b) { return a < b ? b : a; }
+template <class T>
+inline T minOf(T a, T b) { return b < a ? b : a; }
+
+/// Left-biased reconstruction at i+1/2 for T = Real or Lanes. The max/min
+/// folds run left to right, as std::max({...})/std::min({...}) do.
+template <class T>
+inline T reconstruct(const T f[6], WenoScheme scheme) {
     // Candidate 3-point reconstructions of the value at i+1/2; f[2] is cell i.
-    const Real q0 = (2.0 * f[0] - 7.0 * f[1] + 11.0 * f[2]) / 6.0;
-    const Real q1 = (-f[1] + 5.0 * f[2] + 2.0 * f[3]) / 6.0;
-    const Real q2 = (2.0 * f[2] + 5.0 * f[3] - f[4]) / 6.0;
+    const T q0 = (2.0 * f[0] - 7.0 * f[1] + 11.0 * f[2]) / 6.0;
+    const T q1 = (-f[1] + 5.0 * f[2] + 2.0 * f[3]) / 6.0;
+    const T q2 = (2.0 * f[2] + 5.0 * f[3] - f[4]) / 6.0;
     // Jiang-Shu smoothness indicators.
-    const Real b0 = (13.0 / 12.0) * (f[0] - 2 * f[1] + f[2]) * (f[0] - 2 * f[1] + f[2]) +
-                    0.25 * (f[0] - 4 * f[1] + 3 * f[2]) * (f[0] - 4 * f[1] + 3 * f[2]);
-    const Real b1 = (13.0 / 12.0) * (f[1] - 2 * f[2] + f[3]) * (f[1] - 2 * f[2] + f[3]) +
-                    0.25 * (f[1] - f[3]) * (f[1] - f[3]);
-    const Real b2 = (13.0 / 12.0) * (f[2] - 2 * f[3] + f[4]) * (f[2] - 2 * f[3] + f[4]) +
-                    0.25 * (3 * f[2] - 4 * f[3] + f[4]) * (3 * f[2] - 4 * f[3] + f[4]);
+    const T b0 = (13.0 / 12.0) * (f[0] - 2 * f[1] + f[2]) * (f[0] - 2 * f[1] + f[2]) +
+                 0.25 * (f[0] - 4 * f[1] + 3 * f[2]) * (f[0] - 4 * f[1] + 3 * f[2]);
+    const T b1 = (13.0 / 12.0) * (f[1] - 2 * f[2] + f[3]) * (f[1] - 2 * f[2] + f[3]) +
+                 0.25 * (f[1] - f[3]) * (f[1] - f[3]);
+    const T b2 = (13.0 / 12.0) * (f[2] - 2 * f[3] + f[4]) * (f[2] - 2 * f[3] + f[4]) +
+                 0.25 * (3 * f[2] - 4 * f[3] + f[4]) * (3 * f[2] - 4 * f[3] + f[4]);
 
     if (scheme == WenoScheme::JS5) {
-        const Real a0 = kJsD[0] / ((kWenoEps + b0) * (kWenoEps + b0));
-        const Real a1 = kJsD[1] / ((kWenoEps + b1) * (kWenoEps + b1));
-        const Real a2 = kJsD[2] / ((kWenoEps + b2) * (kWenoEps + b2));
+        const T a0 = kJsD[0] / ((kWenoEps + b0) * (kWenoEps + b0));
+        const T a1 = kJsD[1] / ((kWenoEps + b1) * (kWenoEps + b1));
+        const T a2 = kJsD[2] / ((kWenoEps + b2) * (kWenoEps + b2));
         return (a0 * q0 + a1 * q1 + a2 * q2) / (a0 + a1 + a2);
     }
 
     // WENO-SYMBO: add the downwind candidate (mirror image of stencil 0
     // about the interface).
-    const Real q3 = (11.0 * f[3] - 7.0 * f[4] + 2.0 * f[5]) / 6.0;
-    const Real b3 = (13.0 / 12.0) * (f[3] - 2 * f[4] + f[5]) * (f[3] - 2 * f[4] + f[5]) +
-                    0.25 * (3 * f[3] - 4 * f[4] + f[5]) * (3 * f[3] - 4 * f[4] + f[5]);
-    const Real a0 = kSymboD[0] / ((kWenoEps + b0) * (kWenoEps + b0));
-    const Real a1 = kSymboD[1] / ((kWenoEps + b1) * (kWenoEps + b1));
-    const Real a2 = kSymboD[2] / ((kWenoEps + b2) * (kWenoEps + b2));
-    Real a3 = kSymboD[3] / ((kWenoEps + b3) * (kWenoEps + b3));
-    const Real bmax = std::max({b0, b1, b2, b3});
-    const Real bmin = std::min({b0, b1, b2, b3});
-    if (bmax > kSymboRelLimit * bmin + kWenoEps) a3 = 0.0;
+    const T q3 = (11.0 * f[3] - 7.0 * f[4] + 2.0 * f[5]) / 6.0;
+    const T b3 = (13.0 / 12.0) * (f[3] - 2 * f[4] + f[5]) * (f[3] - 2 * f[4] + f[5]) +
+                 0.25 * (3 * f[3] - 4 * f[4] + f[5]) * (3 * f[3] - 4 * f[4] + f[5]);
+    const T a0 = kSymboD[0] / ((kWenoEps + b0) * (kWenoEps + b0));
+    const T a1 = kSymboD[1] / ((kWenoEps + b1) * (kWenoEps + b1));
+    const T a2 = kSymboD[2] / ((kWenoEps + b2) * (kWenoEps + b2));
+    T a3 = kSymboD[3] / ((kWenoEps + b3) * (kWenoEps + b3));
+    const T bmax = maxOf(maxOf(maxOf(b0, b1), b2), b3);
+    const T bmin = minOf(minOf(minOf(b0, b1), b2), b3);
+    a3 = bmax > kSymboRelLimit * bmin + kWenoEps ? T{} : a3;
     return (a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3) / (a0 + a1 + a2 + a3);
+}
+
+/// Lax-Friedrichs split of one component's six-cell window (flux `fhat`,
+/// conserved value `u`, splitting speed `alpha`) and the sum of the
+/// left- and right-biased reconstructions: the interface flux of that
+/// component (or characteristic field).
+template <class T>
+inline T splitReconstruct(const T fhat[6], const T u[6], T alpha,
+                          WenoScheme scheme) {
+    T fp[6], fm[6];
+    for (int l = 0; l < 6; ++l) {
+        fp[l] = 0.5 * (fhat[l] + alpha * u[l]);
+        // Right-biased window mirrors about the interface.
+        fm[5 - l] = 0.5 * (fhat[l] - alpha * u[l]);
+    }
+    return reconstruct(fp, scheme) + reconstruct(fm, scheme);
+}
+
+/// The W values of component n at (i..i+W-1, j, k). Lane loads and stores
+/// go through these two helpers only: check builds read and write every
+/// lane through the checked Array4 accessor, so bounds, ghost-validity and
+/// the race detector see each cell; release builds copy the contiguous
+/// unit-stride run in one go.
+inline Lanes loadLanes(const Array4<const Real>& a, int i, int j, int k, int n) {
+    Lanes v;
+#ifdef CROCCO_CHECK
+    for (int l = 0; l < W; ++l) v[l] = a(i + l, j, k, n);
+#else
+    std::memcpy(&v, &a(i, j, k, n), sizeof v);
+#endif
+    return v;
+}
+
+inline void storeLanes(const Array4<Real>& a, int i, int j, int k, int n,
+                       Lanes v) {
+#ifdef CROCCO_CHECK
+    for (int l = 0; l < W; ++l) a(i + l, j, k, n) = v[l];
+#else
+    std::memcpy(&a(i, j, k, n), &v, sizeof v);
+#endif
+}
+
+} // namespace
+
+Real wenoReconstruct(const Real f[6], WenoScheme scheme) {
+    return reconstruct(f, scheme);
 }
 
 namespace {
@@ -118,22 +197,22 @@ inline Prim consToPrim(const Real U[NCONS], const GasModel& gas) {
 }
 
 /// Interface flux at i+1/2 from the six surrounding cells' stage-A payloads
-/// and conserved states (identical arithmetic in both kernel variants).
+/// and conserved states: the scalar form shared by the FortranStyle and
+/// fused sweeps, kernel 2's remainder and the characteristic-wise path.
 inline void interfaceFlux(const CellFlux cells[6], const Real cons[6][NCONS],
                           WenoScheme scheme, Reconstruction recon,
                           const GasModel& gas, Real out[NCONS]) {
     Real alpha = cells[0].s;
-    for (int l = 1; l < 6; ++l) alpha = std::max(alpha, cells[l].s);
+    for (int l = 1; l < 6; ++l) alpha = maxOf(alpha, cells[l].s);
 
     if (recon == Reconstruction::ComponentWise) {
         for (int m = 0; m < NCONS; ++m) {
-            Real fp[6], fm[6];
+            Real fh[6], u[6];
             for (int l = 0; l < 6; ++l) {
-                fp[l] = 0.5 * (cells[l].fhat[m] + alpha * cons[l][m]);
-                // Right-biased window mirrors about the interface.
-                fm[5 - l] = 0.5 * (cells[l].fhat[m] - alpha * cons[l][m]);
+                fh[l] = cells[l].fhat[m];
+                u[l] = cons[l][m];
             }
-            out[m] = wenoReconstruct(fp, scheme) + wenoReconstruct(fm, scheme);
+            out[m] = splitReconstruct(fh, u, alpha, scheme);
         }
         return;
     }
@@ -149,21 +228,61 @@ inline void interfaceFlux(const CellFlux cells[6], const Real cons[6][NCONS],
 
     Real outChar[NCONS];
     for (int m = 0; m < NCONS; ++m) {
-        Real fp[6], fm[6];
+        Real cf[6], cu[6];
         for (int l = 0; l < 6; ++l) {
-            Real cf = 0.0, cu = 0.0;
+            cf[l] = 0.0;
+            cu[l] = 0.0;
             for (int c = 0; c < NCONS; ++c) {
-                cf += es.L[m][c] * cells[l].fhat[c];
-                cu += es.L[m][c] * cons[l][c];
+                cf[l] += es.L[m][c] * cells[l].fhat[c];
+                cu[l] += es.L[m][c] * cons[l][c];
             }
-            fp[l] = 0.5 * (cf + alpha * cu);
-            fm[5 - l] = 0.5 * (cf - alpha * cu);
         }
-        outChar[m] = wenoReconstruct(fp, scheme) + wenoReconstruct(fm, scheme);
+        outChar[m] = splitReconstruct(cf, cu, alpha, scheme);
     }
     for (int c = 0; c < NCONS; ++c) {
         out[c] = 0.0;
         for (int m = 0; m < NCONS; ++m) out[c] += es.R[c][m] * outChar[m];
+    }
+}
+
+/// Gather the six-cell window of the face stored at cell p (interface
+/// p + e/2, e the unit vector of the sweep): cell l of the window is
+/// p + (l - 2) e, read from the stage-A scratch and the conserved state.
+inline void gatherFace(const Array4<const Real>& scc, const Array4<const Real>& S,
+                       const IntVect& p, const IntVect& e, CellFlux cells[6],
+                       Real cons[6][NCONS]) {
+    for (int l = 0; l < 6; ++l) {
+        const int ci = p[0] + (l - 2) * e[0];
+        const int cj = p[1] + (l - 2) * e[1];
+        const int ck = p[2] + (l - 2) * e[2];
+        for (int m = 0; m < NCONS; ++m) {
+            cells[l].fhat[m] = scc(ci, cj, ck, m);
+            cons[l][m] = S(ci, cj, ck, m);
+        }
+        cells[l].s = scc(ci, cj, ck, NCONS);
+        for (int d = 0; d < 3; ++d)
+            cells[l].jm[d] = scc(ci, cj, ck, NCONS + 1 + d);
+    }
+}
+
+/// Kernel 2's lane step: the ComponentWise flux of the W faces stored at
+/// (i..i+W-1, j, k), every lane running interfaceFlux's ComponentWise
+/// arithmetic. The window cells of adjacent faces are adjacent along i in
+/// every sweep direction, so each window row is one unit-stride load.
+inline void laneFaces(const Array4<const Real>& scc, const Array4<const Real>& S,
+                      const Array4<Real>& fx, int i, int j, int k,
+                      const IntVect& e, WenoScheme scheme) {
+    Lanes alpha = loadLanes(scc, i - 2 * e[0], j - 2 * e[1], k - 2 * e[2], NCONS);
+    for (int o = -1; o <= 3; ++o)
+        alpha = maxOf(alpha, loadLanes(scc, i + o * e[0], j + o * e[1], k + o * e[2], NCONS));
+    for (int m = 0; m < NCONS; ++m) {
+        Lanes fh[6], u[6];
+        for (int l = 0; l < 6; ++l) {
+            const int o = l - 2;
+            fh[l] = loadLanes(scc, i + o * e[0], j + o * e[1], k + o * e[2], m);
+            u[l] = loadLanes(S, i + o * e[0], j + o * e[1], k + o * e[2], m);
+        }
+        storeLanes(fx, i, j, k, m, splitReconstruct(fh, u, alpha, scheme));
     }
 }
 
@@ -191,31 +310,30 @@ void wenoFluxPortable(int dir, const Array4<const Real>& S,
         for (int d = 0; d < 3; ++d) sc(i, j, k, NCONS + 1 + d) = c.jm[d];
     });
 
-    // Kernel 2: one thread per interface; interface i+1/2 is stored at cell
-    // index i, for i in [lo-1, hi].
+    // Kernel 2: one lane per interface; interface i+1/2 is stored at cell
+    // index i, for i in [lo-1, hi]. One task per j-k row of the face box:
+    // W faces per lane step, the last `len % W` faces (and, for the
+    // characteristic-wise projection, every face) as scalars.
     const Box faceBox(validBox.smallEnd() - e, validBox.bigEnd());
     auto fluxLease = gpu::ScratchPool::instance().acquire(faceBox, NCONS);
     FArrayBox& flux = fluxLease.fab();
     auto fx = flux.array();
     auto scc = scratch.const_array();
-    gpu::ParallelFor(faceBox, [&](int i, int j, int k) {
-        CellFlux cells[6];
-        Real cons[6][NCONS];
-        for (int l = 0; l < 6; ++l) {
-            const int ci = i + (l - 2) * e[0];
-            const int cj = j + (l - 2) * e[1];
-            const int ck = k + (l - 2) * e[2];
-            for (int m = 0; m < NCONS; ++m) {
-                cells[l].fhat[m] = scc(ci, cj, ck, m);
-                cons[l][m] = S(ci, cj, ck, m);
-            }
-            cells[l].s = scc(ci, cj, ck, NCONS);
-            for (int d = 0; d < 3; ++d)
-                cells[l].jm[d] = scc(ci, cj, ck, NCONS + 1 + d);
+    const int ilo = faceBox.smallEnd(0), ihi = faceBox.bigEnd(0);
+    const int laneEnd =
+        recon == Reconstruction::ComponentWise ? ilo + faceBox.length(0) / W * W : ilo;
+    IntVect rowHi = faceBox.bigEnd();
+    rowHi[0] = ilo;
+    gpu::ParallelFor(Box(faceBox.smallEnd(), rowHi), [&](int, int j, int k) {
+        int i = ilo;
+        for (; i < laneEnd; i += W) laneFaces(scc, S, fx, i, j, k, e, scheme);
+        for (; i <= ihi; ++i) {
+            CellFlux cells[6];
+            Real cons[6][NCONS], out[NCONS];
+            gatherFace(scc, S, {i, j, k}, e, cells, cons);
+            interfaceFlux(cells, cons, scheme, recon, gas, out);
+            for (int m = 0; m < NCONS; ++m) fx(i, j, k, m) = out[m];
         }
-        Real out[NCONS];
-        interfaceFlux(cells, cons, scheme, recon, gas, out);
-        for (int m = 0; m < NCONS; ++m) fx(i, j, k, m) = out[m];
     });
 
     // Kernel 3: flux difference into dU.
@@ -357,25 +475,18 @@ void wenoFluxFused(int dir, const Array4<const Real>& S,
     planeHi[dir] = validBox.smallEnd(dir);
     const Box plane(validBox.smallEnd(), planeHi);
     auto scc = scratchLease.fab().const_array();
+    const IntVect e = IntVect::basis(dir);
     gpu::ParallelFor(plane, [&](int i0, int j0, int k0) {
         IntVect p{i0, j0, k0};
         CellFlux cells[6];
         Real cons[6][NCONS];
         Real fprev[NCONS], fcur[NCONS];
         // Gather the 6-cell window of the face stored at cell index `fc`
-        // (interface fc+1/2) — identical to the portable kernel 2 gather.
+        // (interface fc+1/2) — the gather of the portable kernel 2 remainder.
         const auto gather = [&](int fc) {
             IntVect q = p;
-            for (int l = 0; l < 6; ++l) {
-                q[dir] = fc + (l - 2);
-                for (int m = 0; m < NCONS; ++m) {
-                    cells[l].fhat[m] = scc(q[0], q[1], q[2], m);
-                    cons[l][m] = S(q[0], q[1], q[2], m);
-                }
-                cells[l].s = scc(q[0], q[1], q[2], NCONS);
-                for (int d = 0; d < 3; ++d)
-                    cells[l].jm[d] = scc(q[0], q[1], q[2], NCONS + 1 + d);
-            }
+            q[dir] = fc;
+            gatherFace(scc, S, q, e, cells, cons);
         };
         gather(lo - 1);
         interfaceFlux(cells, cons, scheme, recon, gas, fprev);

@@ -52,23 +52,6 @@ inline Real invert3x3(const Real T[3][3], Real M[3][3]) {
 
 } // namespace
 
-Real jacobian(const Array4<const Real>& metrics, int i, int j, int k) {
-    // det(M) = 1/J for M = ∂ξ/∂x.
-    const Real a00 = metrics(i, j, k, metric1(0, 0));
-    const Real a01 = metrics(i, j, k, metric1(0, 1));
-    const Real a02 = metrics(i, j, k, metric1(0, 2));
-    const Real a10 = metrics(i, j, k, metric1(1, 0));
-    const Real a11 = metrics(i, j, k, metric1(1, 1));
-    const Real a12 = metrics(i, j, k, metric1(1, 2));
-    const Real a20 = metrics(i, j, k, metric1(2, 0));
-    const Real a21 = metrics(i, j, k, metric1(2, 1));
-    const Real a22 = metrics(i, j, k, metric1(2, 2));
-    const Real detM = a00 * (a11 * a22 - a12 * a21) -
-                      a01 * (a10 * a22 - a12 * a20) +
-                      a02 * (a10 * a21 - a11 * a20);
-    return 1.0 / detM;
-}
-
 void computeMetricsFab(const Array4<const Real>& coords, const Array4<Real>& metrics,
                        const Box& region, const std::array<Real, 3>& dxi) {
     // Pass 1: first metrics M = (∂x/∂ξ)^-1 on region.grow(1), held in a

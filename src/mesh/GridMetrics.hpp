@@ -33,7 +33,24 @@ constexpr int metric2(int d, int j, int k) {
 /// Jacobian determinant J = det(∂x/∂ξ) recovered from the stored inverse
 /// metrics at one cell (J is not stored; the kernels recompute this cheap
 /// 3x3 determinant, keeping the metrics MultiFab at 27 components).
-Real jacobian(const Array4<const Real>& metrics, int i, int j, int k);
+/// Inline: the WENO, viscous and fused kernels and the conservation sums
+/// call it once per cell.
+inline Real jacobian(const Array4<const Real>& metrics, int i, int j, int k) {
+    // det(M) = 1/J for M = ∂ξ/∂x.
+    const Real a00 = metrics(i, j, k, metric1(0, 0));
+    const Real a01 = metrics(i, j, k, metric1(0, 1));
+    const Real a02 = metrics(i, j, k, metric1(0, 2));
+    const Real a10 = metrics(i, j, k, metric1(1, 0));
+    const Real a11 = metrics(i, j, k, metric1(1, 1));
+    const Real a12 = metrics(i, j, k, metric1(1, 2));
+    const Real a20 = metrics(i, j, k, metric1(2, 0));
+    const Real a21 = metrics(i, j, k, metric1(2, 1));
+    const Real a22 = metrics(i, j, k, metric1(2, 2));
+    const Real detM = a00 * (a11 * a22 - a12 * a21) -
+                      a01 * (a10 * a22 - a12 * a20) +
+                      a02 * (a10 * a21 - a11 * a20);
+    return 1.0 / detM;
+}
 
 /// Compute the 27 metric components over `region` of one fab.
 /// `coords` must provide cell-center physical coordinates on

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace crocco::core {
 namespace {
@@ -114,7 +116,8 @@ struct TileFixture {
     GasModel gas;
     std::array<Real, 3> dxi{0.1, 0.15, 0.2};
 
-    explicit TileFixture(const Box& box) {
+    /// `jump` is the density jump across the plane i + j = 7 (0: smooth).
+    explicit TileFixture(const Box& box, Real jump = 1.5) {
         const Box grown = box.grow(NGHOST);
         coords = amr::FArrayBox(box.grow(NGHOST + 3), 3);
         auto x = coords.array();
@@ -130,7 +133,7 @@ struct TileFixture {
         auto s = S.array();
         amr::forEachCell(grown, [&](int i, int j, int k) {
             const Real rho = 1.0 + 0.2 * std::sin(0.7 * i + 0.3 * j) +
-                             (i + j > 6 ? 1.5 : 0.0);
+                             (i + j > 6 ? jump : 0.0);
             const Real u = 0.5 + 0.1 * std::cos(0.4 * k), v = -0.2, w = 0.1 * std::sin(0.9 * j);
             const Real p = 1.0 + 0.3 * std::cos(0.5 * i + 0.2 * k);
             s(i, j, k, URHO) = rho;
@@ -142,11 +145,14 @@ struct TileFixture {
     }
 };
 
-std::vector<Real> fabValues(const amr::FArrayBox& fab) {
-    std::vector<Real> out;
+/// The bit patterns of every value of `fab` (so 0.0 and -0.0 differ).
+std::vector<std::uint64_t> fabBits(const amr::FArrayBox& fab) {
+    std::vector<std::uint64_t> out;
     auto a = fab.const_array();
     for (int n = 0; n < fab.nComp(); ++n)
-        amr::forEachCell(fab.box(), [&](int i, int j, int k) { out.push_back(a(i, j, k, n)); });
+        amr::forEachCell(fab.box(), [&](int i, int j, int k) {
+            out.push_back(std::bit_cast<std::uint64_t>(a(i, j, k, n)));
+        });
     return out;
 }
 
@@ -175,10 +181,48 @@ TEST(WenoTiles, TiledSweepBitwiseEqualsWholeFab) {
                                  t.box, tiled.array(), fx.dxi[d], fx.gas,
                                  WenoScheme::Symbo, variant, recon);
                     });
-                    EXPECT_TRUE(fabValues(tiled) == fabValues(whole))
+                    EXPECT_TRUE(fabBits(tiled) == fabBits(whole))
                         << "box " << box << " dir " << dir << " variant "
                         << static_cast<int>(variant) << " recon "
                         << static_cast<int>(recon) << " tiles " << tiles.size();
+                }
+            }
+        }
+    }
+}
+
+// The Portable kernel 2 evaluates adjacent faces along i as SIMD lanes and
+// the faces left over at the end of each row as scalars; FortranStyle (the
+// paper's Fig. 3 baseline) evaluates every face as a scalar. Both run the
+// one reconstruction template, so the lanes must reproduce the scalar bits
+// exactly. The i-lengths give rows shorter than a chunk, exactly one chunk,
+// and chunks with every remainder (faces per row: len + 1 along i, len
+// along j and k). The shocked state's jump sits at i = 7 - j, so across the
+// rows it lands at every lane of a chunk: SYMBO's limiter drops the
+// downwind stencil in the lanes whose windows straddle the jump and keeps
+// it in the others of the same chunk.
+TEST(WenoLanes, PortableBitwiseEqualsFortranStyle) {
+    for (const Real jump : {0.0, 1.5}) {
+        for (const int len : {1, 2, 3, 4, 5, 8, 33}) {
+            const Box box(IntVect{-1, 0, 1}, IntVect{len - 2, 5, 4});
+            const TileFixture fx(box, jump);
+            for (WenoScheme scheme : {WenoScheme::JS5, WenoScheme::Symbo}) {
+                for (Reconstruction recon : {Reconstruction::ComponentWise,
+                                             Reconstruction::CharacteristicWise}) {
+                    for (int dir = 0; dir < 3; ++dir) {
+                        const auto d = static_cast<std::size_t>(dir);
+                        amr::FArrayBox lanes(box, NCONS, 0.0), scalar(box, NCONS, 0.0);
+                        wenoFlux(dir, fx.S.const_array(), fx.metrics.const_array(), box,
+                                 lanes.array(), fx.dxi[d], fx.gas, scheme,
+                                 KernelVariant::Portable, recon);
+                        wenoFlux(dir, fx.S.const_array(), fx.metrics.const_array(), box,
+                                 scalar.array(), fx.dxi[d], fx.gas, scheme,
+                                 KernelVariant::FortranStyle, recon);
+                        EXPECT_TRUE(fabBits(lanes) == fabBits(scalar))
+                            << "jump " << jump << " len " << len << " scheme "
+                            << static_cast<int>(scheme) << " recon "
+                            << static_cast<int>(recon) << " dir " << dir;
+                    }
                 }
             }
         }
