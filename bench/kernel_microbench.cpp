@@ -3,8 +3,12 @@
 // substrate. Run with --benchmark_min_time=... for tighter statistics.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "amr/FillPatch.hpp"
 #include "core/ComputeDt.hpp"
+#include "core/LaneWidth.hpp"
 #include "core/Viscous.hpp"
 #include "core/Weno.hpp"
 #include "mesh/CoordStore.hpp"
@@ -49,7 +53,31 @@ struct KernelState {
     }
 };
 
-void BM_WenoX(benchmark::State& state, core::KernelVariant variant) {
+/// Pins the lane width of WENO kernel 2 and Viscous kernel 2 for one run
+/// (0: the automatic width); skips widths this host does not run.
+bool pinLaneWidth(benchmark::State& state, int width,
+                  std::optional<core::detail::ScopedLaneWidth>& pin) {
+    if (width == 0) return true;
+    const auto widths = core::detail::supportedLaneWidths();
+    if (std::find(widths.begin(), widths.end(), width) == widths.end()) {
+        state.SkipWithError("lane width not supported on this host");
+        return false;
+    }
+    pin.emplace(width);
+    return true;
+}
+
+/// Cells per second, and its inverse in ns per cell.
+void reportCells(benchmark::State& state, const Box& box) {
+    state.SetItemsProcessed(state.iterations() * box.numPts());
+    state.counters["ns_per_cell"] = benchmark::Counter(
+        static_cast<double>(box.numPts()),
+        benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+void BM_WenoX(benchmark::State& state, core::KernelVariant variant, int width) {
+    std::optional<core::detail::ScopedLaneWidth> pin;
+    if (!pinLaneWidth(state, width, pin)) return;
     KernelState ks(static_cast<int>(state.range(0)));
     for (auto _ : state) {
         core::wenoFlux(0, ks.S.const_array(), ks.metrics.const_array(),
@@ -57,10 +85,12 @@ void BM_WenoX(benchmark::State& state, core::KernelVariant variant) {
                        ks.gas, core::WenoScheme::Symbo, variant);
         benchmark::DoNotOptimize(ks.dU);
     }
-    state.SetItemsProcessed(state.iterations() * ks.geom.domain().numPts());
+    reportCells(state, ks.geom.domain());
 }
 
-void BM_Viscous(benchmark::State& state) {
+void BM_Viscous(benchmark::State& state, int width) {
+    std::optional<core::detail::ScopedLaneWidth> pin;
+    if (!pinLaneWidth(state, width, pin)) return;
     KernelState ks(static_cast<int>(state.range(0)));
     for (auto _ : state) {
         core::viscousFlux(ks.S.const_array(), ks.metrics.const_array(),
@@ -68,7 +98,7 @@ void BM_Viscous(benchmark::State& state) {
                           ks.gas, core::KernelVariant::Portable);
         benchmark::DoNotOptimize(ks.dU);
     }
-    state.SetItemsProcessed(state.iterations() * ks.geom.domain().numPts());
+    reportCells(state, ks.geom.domain());
 }
 
 void BM_ComputeDt(benchmark::State& state) {
@@ -123,11 +153,19 @@ const amr::WenoInterp kWenoInterp;
 
 } // namespace
 
-BENCHMARK_CAPTURE(BM_WenoX, line_scratch, core::KernelVariant::FortranStyle)
+BENCHMARK_CAPTURE(BM_WenoX, line_scratch, core::KernelVariant::FortranStyle, 0)
     ->Arg(16)->Arg(32);
-BENCHMARK_CAPTURE(BM_WenoX, staged_gpu_structure, core::KernelVariant::Portable)
+BENCHMARK_CAPTURE(BM_WenoX, staged_gpu_structure, core::KernelVariant::Portable, 0)
     ->Arg(16)->Arg(32);
-BENCHMARK(BM_Viscous)->Arg(16)->Arg(32);
+BENCHMARK_CAPTURE(BM_Viscous, auto_width, 0)->Arg(16)->Arg(32);
+// One lane width each (1 = every face and cell scalar), 32^3; run with
+// GPU_NUM_THREADS=1 for the single-thread ns/cell of docs/performance.md §8.
+BENCHMARK_CAPTURE(BM_WenoX, portable_w1, core::KernelVariant::Portable, 1)->Arg(32);
+BENCHMARK_CAPTURE(BM_WenoX, portable_w2, core::KernelVariant::Portable, 2)->Arg(32);
+BENCHMARK_CAPTURE(BM_WenoX, portable_w4, core::KernelVariant::Portable, 4)->Arg(32);
+BENCHMARK_CAPTURE(BM_Viscous, w1, 1)->Arg(32);
+BENCHMARK_CAPTURE(BM_Viscous, w2, 2)->Arg(32);
+BENCHMARK_CAPTURE(BM_Viscous, w4, 4)->Arg(32);
 BENCHMARK(BM_ComputeDt)->Arg(32);
 BENCHMARK(BM_Metrics)->Arg(16)->Arg(32);
 BENCHMARK_CAPTURE(BM_Interp, trilinear, kTrilinear)->Arg(16);

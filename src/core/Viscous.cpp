@@ -1,10 +1,23 @@
+// The Viscous kernel of Algorithm 2. Kernel 2 (stress tensor, heat flux
+// and contravariant viscous fluxes per cell) runs W adjacent cells along
+// the unit-stride i axis as SIMD lanes when the SGS model is off, and the
+// last `len % W` cells of each row as scalars; kernel 3 (their divergence)
+// does the same with the SGS model on or off, with the lane width chosen
+// at run time as for the WENO interface fluxes (see Weno.cpp and
+// docs/performance.md §8). Lanes and scalars run one template in one
+// operation order, so every width produces the same bits.
 #include "core/Viscous.hpp"
+
+#include "core/LaneWidth.hpp"
 
 #include "amr/FArrayBox.hpp"
 #include "gpu/Gpu.hpp"
 #include "mesh/GridMetrics.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <cstring>
+#include <type_traits>
 
 namespace crocco::core {
 
@@ -15,19 +28,10 @@ using mesh::metric1;
 
 namespace {
 
-/// 4th-order central first derivative of scratch component m along dim d.
-inline Real d1(const Array4<const Real>& f, int i, int j, int k, int m, int d,
-               Real invdx) {
-    const IntVect e = IntVect::basis(d);
-    return (-f(i + 2 * e[0], j + 2 * e[1], k + 2 * e[2], m) +
-            8.0 * f(i + e[0], j + e[1], k + e[2], m) -
-            8.0 * f(i - e[0], j - e[1], k - e[2], m) +
-            f(i - 2 * e[0], j - 2 * e[1], k - 2 * e[2], m)) *
-           (invdx / 12.0);
-}
-
 // Scratch component layout.
 constexpr int QU = 0, QV = 1, QW = 2, QT = 3, QRHO = 4, NPRIM = 5;
+/// The primitive components of viscousFlux's scratch, in thetaAt's order.
+constexpr int kPrimComps[NPRIM] = {QU, QV, QW, QT, QRHO};
 /// Contravariant viscous flux Theta^d: 3 momentum + 1 energy per direction.
 constexpr int thetaComp(int d, int m) { return 4 * d + m; }
 
@@ -40,6 +44,51 @@ inline Real sgsEddyViscosity(const SgsModel& sgs, const Real gu[3][3], Real J,
     if (!sgs.active()) return 0.0;
     const Real delta = SgsModel::filterWidth(J * dxi[0] * dxi[1] * dxi[2]);
     return sgs.eddyViscosity(gu, rho, delta);
+}
+
+// The lane code of kernels 2 and 3 (Lanes.inl, ViscousLanes.inl), compiled
+// once per instruction set, each copy in its own internal namespace; every
+// #include sits above the first target region (see Weno.cpp).
+
+/// SSE2, the x86-64 baseline: two cells per step, and the scalar kernel
+/// (T = Real) behind every other caller in this file.
+namespace sse2 {
+constexpr int W = 2;
+#include "core/Lanes.inl"
+#include "core/ViscousLanes.inl"
+} // namespace sse2
+
+#if defined(__x86_64__)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+constexpr int W = 4;
+#include "core/Lanes.inl"
+#include "core/ViscousLanes.inl"
+} // namespace avx2
+#pragma GCC pop_options
+#endif
+
+using sse2::divergenceAt;
+using sse2::rowStarts;
+using sse2::thetaAt;
+
+/// Kernel 2's and kernel 3's lane rows of one width.
+struct ViscousLaneRows {
+    decltype(&sse2::thetaLaneRow) theta = nullptr;
+    decltype(&sse2::divergenceLaneRow) divergence = nullptr;
+};
+
+/// The lane rows at `width` lanes (detail::laneWidth()); null for width 1,
+/// which runs every cell through the scalar path.
+ViscousLaneRows viscousLaneRows(int width) {
+    switch (width) {
+    case 2: return {sse2::thetaLaneRow, sse2::divergenceLaneRow};
+#if defined(__x86_64__)
+    case 4: return {avx2::thetaLaneRow, avx2::divergenceLaneRow};
+#endif
+    default: return {};
+    }
 }
 
 } // namespace
@@ -73,66 +122,29 @@ void viscousFlux(const Array4<const Real>& S, const Array4<const Real>& metrics,
     FArrayBox thetaFab(fluxBox, 12);
     auto th = thetaFab.array();
     auto qc = primFab.const_array();
-    gpu::ParallelFor(fluxBox, [&](int i, int j, int k) {
-        // Physical-space gradients by the chain rule:
-        // dphi/dx_m = sum_d (dxi_d/dx_m) dphi/dxi_d.
-        Real gxi[NPRIM][3]; // computational gradients
-        for (int m = 0; m < NPRIM; ++m)
-            for (int d = 0; d < 3; ++d)
-                gxi[m][d] = d1(qc, i, j, k, m, d, 1.0 / dxi[static_cast<std::size_t>(d)]);
-        Real M[3][3];
-        for (int d = 0; d < 3; ++d)
-            for (int m = 0; m < 3; ++m) M[d][m] = metrics(i, j, k, metric1(d, m));
-        Real gu[3][3], gT[3];
-        for (int m = 0; m < 3; ++m) {
-            for (int vc = 0; vc < 3; ++vc) {
-                gu[vc][m] = 0.0;
-                for (int d = 0; d < 3; ++d) gu[vc][m] += M[d][m] * gxi[vc][d];
-            }
-            gT[m] = 0.0;
-            for (int d = 0; d < 3; ++d) gT[m] += M[d][m] * gxi[QT][d];
-        }
-        const Real Jloc = jacobian(metrics, i, j, k);
-        const Real muT = sgsEddyViscosity(sgs, gu, Jloc, dxi, qc(i, j, k, QRHO));
-        const Real mu = gas.viscosity(qc(i, j, k, QT)) + muT;
-        const Real lambda = gas.conductivity(qc(i, j, k, QT)) +
-                            muT * gas.cp() / sgs.prandtlT;
-        const Real divu = gu[0][0] + gu[1][1] + gu[2][2];
-        Real tau[3][3];
-        for (int a = 0; a < 3; ++a)
-            for (int b = 0; b < 3; ++b)
-                tau[a][b] = mu * (gu[a][b] + gu[b][a] -
-                                  (a == b ? (2.0 / 3.0) * divu : 0.0));
-        const Real u[3] = {qc(i, j, k, QU), qc(i, j, k, QV), qc(i, j, k, QW)};
-        const Real J = Jloc;
-        for (int d = 0; d < 3; ++d) {
-            for (int a = 0; a < 3; ++a) {
-                Real s = 0.0;
-                for (int b = 0; b < 3; ++b) s += M[d][b] * tau[a][b];
-                th(i, j, k, thetaComp(d, a)) = J * s;
-            }
-            Real se = 0.0;
-            for (int b = 0; b < 3; ++b) {
-                Real work = lambda * gT[b];
-                for (int a = 0; a < 3; ++a) work += u[a] * tau[a][b];
-                se += M[d][b] * work;
-            }
-            th(i, j, k, thetaComp(d, 3)) = J * se;
-        }
+    // One thread per i-row: lanes along i while the SGS model is off, the
+    // row's last `len % W` cells (and, with SGS on, every cell) as scalars.
+    const ViscousLaneRows lanes = viscousLaneRows(detail::laneWidth());
+    const auto thetaRow = sgs.active() ? nullptr : lanes.theta;
+    const int ilo = fluxBox.smallEnd(0), ihi = fluxBox.bigEnd(0);
+    gpu::ParallelFor(rowStarts(fluxBox), [&](int, int j, int k) {
+        int i = thetaRow ? thetaRow(qc, metrics, th, ilo, ihi - ilo + 1, j, k, dxi, gas, sgs)
+                         : ilo;
+        for (; i <= ihi; ++i)
+            thetaAt(qc, kPrimComps, metrics, jacobian(metrics, i, j, k), th, i, j, k,
+                    dxi, gas, sgs);
     });
 
     // Kernel 3: divergence of Theta into dU (viscous terms enter the RHS
-    // with a positive sign).
+    // with a positive sign), one thread per i-row as kernel 2.
     auto thc = thetaFab.const_array();
-    gpu::ParallelFor(validBox, [&](int i, int j, int k) {
-        const Real Jinv = 1.0 / jacobian(metrics, i, j, k);
-        for (int d = 0; d < 3; ++d) {
-            const Real invdx = 1.0 / dxi[static_cast<std::size_t>(d)];
-            dU(i, j, k, UMX) += Jinv * d1(thc, i, j, k, thetaComp(d, 0), d, invdx);
-            dU(i, j, k, UMY) += Jinv * d1(thc, i, j, k, thetaComp(d, 1), d, invdx);
-            dU(i, j, k, UMZ) += Jinv * d1(thc, i, j, k, thetaComp(d, 2), d, invdx);
-            dU(i, j, k, UEDEN) += Jinv * d1(thc, i, j, k, thetaComp(d, 3), d, invdx);
-        }
+    const int vlo = validBox.smallEnd(0), vhi = validBox.bigEnd(0);
+    gpu::ParallelFor(rowStarts(validBox), [&](int, int j, int k) {
+        int i = lanes.divergence
+                    ? lanes.divergence(thc, metrics, dU, vlo, vhi - vlo + 1, j, k, dxi)
+                    : vlo;
+        for (; i <= vhi; ++i)
+            divergenceAt(thc, 1.0 / jacobian(metrics, i, j, k), dU, i, j, k, dxi);
     });
 }
 
@@ -143,8 +155,8 @@ void viscousFluxFused(const Array4<const Real>& cache,
     assert(gas.viscous() || sgs.active());
 
     // Map the unfused scratch's component order (QU,QV,QW,QT,QRHO) onto the
-    // shared-cache layout so the gradient loop runs in the identical order
-    // over identical (bit-equal) operands.
+    // shared-cache layout: the one thetaAt template runs in the identical
+    // order over identical (bit-equal) operands.
     constexpr int cacheComp[NPRIM] = {fused::QC_U, fused::QC_V, fused::QC_W,
                                       fused::QC_T, fused::QC_RHO};
 
@@ -153,66 +165,14 @@ void viscousFluxFused(const Array4<const Real>& cache,
     FArrayBox thetaFab(fluxBox, 12);
     auto th = thetaFab.array();
     gpu::ParallelFor(fluxBox, [&](int i, int j, int k) {
-        Real gxi[NPRIM][3];
-        for (int m = 0; m < NPRIM; ++m)
-            for (int d = 0; d < 3; ++d)
-                gxi[m][d] = d1(cache, i, j, k, cacheComp[m], d,
-                               1.0 / dxi[static_cast<std::size_t>(d)]);
-        Real M[3][3];
-        for (int d = 0; d < 3; ++d)
-            for (int m = 0; m < 3; ++m) M[d][m] = metrics(i, j, k, metric1(d, m));
-        Real gu[3][3], gT[3];
-        for (int m = 0; m < 3; ++m) {
-            for (int vc = 0; vc < 3; ++vc) {
-                gu[vc][m] = 0.0;
-                for (int d = 0; d < 3; ++d) gu[vc][m] += M[d][m] * gxi[vc][d];
-            }
-            gT[m] = 0.0;
-            for (int d = 0; d < 3; ++d) gT[m] += M[d][m] * gxi[QT][d];
-        }
-        const Real Jloc = cache(i, j, k, fused::QC_J);
-        const Real muT =
-            sgsEddyViscosity(sgs, gu, Jloc, dxi, cache(i, j, k, fused::QC_RHO));
-        const Real mu = gas.viscosity(cache(i, j, k, fused::QC_T)) + muT;
-        const Real lambda = gas.conductivity(cache(i, j, k, fused::QC_T)) +
-                            muT * gas.cp() / sgs.prandtlT;
-        const Real divu = gu[0][0] + gu[1][1] + gu[2][2];
-        Real tau[3][3];
-        for (int a = 0; a < 3; ++a)
-            for (int b = 0; b < 3; ++b)
-                tau[a][b] = mu * (gu[a][b] + gu[b][a] -
-                                  (a == b ? (2.0 / 3.0) * divu : 0.0));
-        const Real u[3] = {cache(i, j, k, fused::QC_U),
-                           cache(i, j, k, fused::QC_V),
-                           cache(i, j, k, fused::QC_W)};
-        const Real J = Jloc;
-        for (int d = 0; d < 3; ++d) {
-            for (int a = 0; a < 3; ++a) {
-                Real s = 0.0;
-                for (int b = 0; b < 3; ++b) s += M[d][b] * tau[a][b];
-                th(i, j, k, thetaComp(d, a)) = J * s;
-            }
-            Real se = 0.0;
-            for (int b = 0; b < 3; ++b) {
-                Real work = lambda * gT[b];
-                for (int a = 0; a < 3; ++a) work += u[a] * tau[a][b];
-                se += M[d][b] * work;
-            }
-            th(i, j, k, thetaComp(d, 3)) = J * se;
-        }
+        thetaAt(cache, cacheComp, metrics, cache(i, j, k, fused::QC_J), th, i, j, k,
+                dxi, gas, sgs);
     });
 
     // Kernel 2 (unfused kernel 3): divergence, Jacobian from the cache.
     auto thc = thetaFab.const_array();
     gpu::ParallelFor(validBox, [&](int i, int j, int k) {
-        const Real Jinv = 1.0 / cache(i, j, k, fused::QC_J);
-        for (int d = 0; d < 3; ++d) {
-            const Real invdx = 1.0 / dxi[static_cast<std::size_t>(d)];
-            dU(i, j, k, UMX) += Jinv * d1(thc, i, j, k, thetaComp(d, 0), d, invdx);
-            dU(i, j, k, UMY) += Jinv * d1(thc, i, j, k, thetaComp(d, 1), d, invdx);
-            dU(i, j, k, UMZ) += Jinv * d1(thc, i, j, k, thetaComp(d, 2), d, invdx);
-            dU(i, j, k, UEDEN) += Jinv * d1(thc, i, j, k, thetaComp(d, 3), d, invdx);
-        }
+        divergenceAt(thc, 1.0 / cache(i, j, k, fused::QC_J), dU, i, j, k, dxi);
     });
 }
 

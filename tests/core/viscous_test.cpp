@@ -1,5 +1,7 @@
 #include "core/Viscous.hpp"
 
+#include "core/LaneWidth.hpp"
+
 #include "amr/FArrayBox.hpp"
 #include "amr/Geometry.hpp"
 #include "mesh/CoordStore.hpp"
@@ -7,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace crocco::core {
 namespace {
@@ -163,6 +168,86 @@ TEST(GasModel, SutherlandViscosityAndEos) {
     EXPECT_NEAR(g.temperature(2.0, 4.0), 2.0, 1e-12);
     EXPECT_NEAR(g.cv() * (g.gamma - 1.0), g.Rgas, 1e-12);
     EXPECT_NEAR(g.cp() - g.cv(), g.Rgas, 1e-12);
+}
+
+/// A fab `len` cells long in i on a wavy curvilinear grid, with density,
+/// velocity and temperature varying in every direction, so every term of
+/// the stress tensor, heat flux and Sutherland viscosity is live.
+struct LaneFixture {
+    Box box;
+    FArrayBox coords, metrics, S;
+    GasModel gas;
+    std::array<Real, 3> dxi{0.1, 0.15, 0.2};
+
+    explicit LaneFixture(int len) : box(IntVect{-1, 0, 1}, IntVect{len - 2, 5, 4}) {
+        gas.muRef = 0.01;
+        const Box grown = box.grow(NGHOST);
+        coords = FArrayBox(box.grow(NGHOST + 3), 3);
+        auto x = coords.array();
+        amr::forEachCell(coords.box(), [&](int i, int j, int k) {
+            const Real a = dxi[0] * i, b = dxi[1] * j, c = dxi[2] * k;
+            x(i, j, k, 0) = a + 0.02 * std::sin(3.0 * b + 1.0 * c);
+            x(i, j, k, 1) = b + 0.03 * std::sin(2.0 * a + 0.5 * c);
+            x(i, j, k, 2) = c + 0.01 * std::cos(1.5 * a + b);
+        });
+        metrics = FArrayBox(grown, mesh::MetricComps);
+        mesh::computeMetricsFab(coords.const_array(), metrics.array(), grown, dxi);
+        S = FArrayBox(grown, NCONS);
+        auto s = S.array();
+        amr::forEachCell(grown, [&](int i, int j, int k) {
+            const Real rho = 1.0 + 0.2 * std::sin(0.7 * i + 0.3 * j);
+            const Real u = 0.5 + 0.1 * std::cos(0.4 * k + 0.6 * i);
+            const Real v = -0.2 + 0.05 * std::sin(0.8 * i - 0.3 * k);
+            const Real w = 0.1 * std::sin(0.9 * j + 0.5 * i);
+            const Real p = 1.0 + 0.3 * std::cos(0.5 * i + 0.2 * k);
+            s(i, j, k, URHO) = rho;
+            s(i, j, k, UMX) = rho * u;
+            s(i, j, k, UMY) = rho * v;
+            s(i, j, k, UMZ) = rho * w;
+            s(i, j, k, UEDEN) = gas.totalEnergy(rho, u, v, w, p);
+        });
+    }
+
+    /// The bit patterns of the viscous dU over `box`.
+    std::vector<std::uint64_t> run(const SgsModel& sgs) const {
+        FArrayBox dU(box, NCONS, 0.0);
+        viscousFlux(S.const_array(), metrics.const_array(), box, dU.array(), dxi, gas,
+                    KernelVariant::Portable, sgs);
+        std::vector<std::uint64_t> out;
+        auto a = dU.const_array();
+        for (int n = 0; n < NCONS; ++n)
+            amr::forEachCell(box, [&](int i, int j, int k) {
+                out.push_back(std::bit_cast<std::uint64_t>(a(i, j, k, n)));
+            });
+        return out;
+    }
+};
+
+// Kernel 2 runs the stress and heat flux of adjacent cells along i as SIMD
+// lanes (the SGS model off) and each row's last `len % W` cells as scalars,
+// through one template in the scalar operation order: every lane width the
+// host runs must reproduce width 1 (all scalar) bit for bit. The rows are
+// len + 4 cells long, so the i-lengths give every remainder mod 8. With the
+// SGS model on, every width runs the scalar path and must match too.
+TEST(ViscousLanes, EveryWidthBitwiseEqualsScalar) {
+    const std::vector<int> widths = detail::supportedLaneWidths();
+    for (const int len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33}) {
+        const LaneFixture fx(len);
+        for (const Real cs : {0.0, 0.17}) {
+            SgsModel sgs;
+            sgs.cs = cs;
+            std::vector<std::uint64_t> scalar;
+            {
+                const detail::ScopedLaneWidth pin(1);
+                scalar = fx.run(sgs);
+            }
+            for (const int width : widths) {
+                const detail::ScopedLaneWidth pin(width);
+                EXPECT_TRUE(fx.run(sgs) == scalar)
+                    << "width " << width << " len " << len << " cs " << cs;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include "core/Weno.hpp"
 
+#include "core/LaneWidth.hpp"
+
 #include "amr/FArrayBox.hpp"
 #include "gpu/Gpu.hpp"
 #include "mesh/GridMetrics.hpp"
@@ -9,6 +11,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 namespace crocco::core {
 namespace {
@@ -195,37 +199,78 @@ TEST(WenoTiles, TiledSweepBitwiseEqualsWholeFab) {
 // the faces left over at the end of each row as scalars; FortranStyle (the
 // paper's Fig. 3 baseline) evaluates every face as a scalar. Both run the
 // one reconstruction template, so the lanes must reproduce the scalar bits
-// exactly. The i-lengths give rows shorter than a chunk, exactly one chunk,
-// and chunks with every remainder (faces per row: len + 1 along i, len
-// along j and k). The shocked state's jump sits at i = 7 - j, so across the
-// rows it lands at every lane of a chunk: SYMBO's limiter drops the
-// downwind stencil in the lanes whose windows straddle the jump and keeps
-// it in the others of the same chunk.
+// exactly, at every lane width the host runs (1 = all faces scalar, 2 =
+// SSE2, 4 = AVX2). The i-lengths give rows shorter than a step, whole
+// steps, and every remainder mod 8 (faces per row: len + 1 along i, len
+// along j and k). The shocked state's jump sits at i = 7 - j for j in
+// [0, 7], so across the rows it lands in every lane of a step of up to 8
+// faces: SYMBO's limiter drops the downwind stencil in the lanes whose
+// windows straddle the jump and keeps it in the others of the step.
 TEST(WenoLanes, PortableBitwiseEqualsFortranStyle) {
+    const std::vector<int> widths = detail::supportedLaneWidths();
     for (const Real jump : {0.0, 1.5}) {
-        for (const int len : {1, 2, 3, 4, 5, 8, 33}) {
-            const Box box(IntVect{-1, 0, 1}, IntVect{len - 2, 5, 4});
+        for (const int len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33}) {
+            const Box box(IntVect{-1, 0, 1}, IntVect{len - 2, 7, 4});
             const TileFixture fx(box, jump);
             for (WenoScheme scheme : {WenoScheme::JS5, WenoScheme::Symbo}) {
                 for (Reconstruction recon : {Reconstruction::ComponentWise,
                                              Reconstruction::CharacteristicWise}) {
                     for (int dir = 0; dir < 3; ++dir) {
                         const auto d = static_cast<std::size_t>(dir);
-                        amr::FArrayBox lanes(box, NCONS, 0.0), scalar(box, NCONS, 0.0);
-                        wenoFlux(dir, fx.S.const_array(), fx.metrics.const_array(), box,
-                                 lanes.array(), fx.dxi[d], fx.gas, scheme,
-                                 KernelVariant::Portable, recon);
+                        amr::FArrayBox scalar(box, NCONS, 0.0);
                         wenoFlux(dir, fx.S.const_array(), fx.metrics.const_array(), box,
                                  scalar.array(), fx.dxi[d], fx.gas, scheme,
                                  KernelVariant::FortranStyle, recon);
-                        EXPECT_TRUE(fabBits(lanes) == fabBits(scalar))
-                            << "jump " << jump << " len " << len << " scheme "
-                            << static_cast<int>(scheme) << " recon "
-                            << static_cast<int>(recon) << " dir " << dir;
+                        for (const int width : widths) {
+                            const detail::ScopedLaneWidth pin(width);
+                            amr::FArrayBox lanes(box, NCONS, 0.0);
+                            wenoFlux(dir, fx.S.const_array(), fx.metrics.const_array(),
+                                     box, lanes.array(), fx.dxi[d], fx.gas, scheme,
+                                     KernelVariant::Portable, recon);
+                            EXPECT_TRUE(fabBits(lanes) == fabBits(scalar))
+                                << "width " << width << " jump " << jump << " len "
+                                << len << " scheme " << static_cast<int>(scheme)
+                                << " recon " << static_cast<int>(recon) << " dir "
+                                << dir;
+                        }
                     }
                 }
             }
         }
+    }
+}
+
+/// The widest lane width this build ships that the CPU runs, asked
+/// independently of the dispatch.
+int widestShippedWidth() {
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2")) return 4;
+#endif
+    return 2;
+}
+
+// The dispatch picks the widest shipped width by itself, refuses a width
+// the build does not ship or the CPU cannot run before any kernel runs, and
+// a reset restores the automatic choice.
+TEST(LaneDispatch, AutoWidthOverrideAndReset) {
+    const std::vector<int> widths = detail::supportedLaneWidths();
+    ASSERT_FALSE(widths.empty());
+    EXPECT_EQ(widths.front(), 1);
+    EXPECT_EQ(widths.back(), widestShippedWidth());
+    EXPECT_EQ(detail::laneWidth(), widestShippedWidth());
+
+    const std::uint64_t launches = gpu::LaunchStats::count();
+    for (const int bad : {0, -2, 3, 6, 16, 2 * widestShippedWidth()})
+        EXPECT_THROW(detail::setLaneWidthForTesting(bad), std::invalid_argument)
+            << "width " << bad;
+    EXPECT_EQ(gpu::LaunchStats::count(), launches);
+    EXPECT_EQ(detail::laneWidth(), widestShippedWidth());
+
+    for (const int width : widths) {
+        detail::setLaneWidthForTesting(width);
+        EXPECT_EQ(detail::laneWidth(), width);
+        detail::resetLaneWidth();
+        EXPECT_EQ(detail::laneWidth(), widestShippedWidth());
     }
 }
 

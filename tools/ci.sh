@@ -27,6 +27,17 @@ cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS" >/dev/null
 (cd build-ci && ctest --output-on-failure)
 
+echo "== no FMA in crocco_core =="
+# The SIMD lane kernels reproduce the scalar bits only while no a*b + c is
+# contracted into a fused multiply-add (-ffp-contract=off in
+# src/core/CMakeLists.txt: GCC's default would emit vfmadd in any function
+# compiled for a target with FMA). Fail if any crocco_core object holds one.
+core_objs=$(find build-ci/src/core/CMakeFiles/crocco_core.dir -name '*.o')
+if objdump -d $core_objs | grep -E '[[:space:]]vfn?m(add|sub)'; then
+    echo "ci: fused multiply-add in crocco_core objects (listed above)"
+    exit 1
+fi
+
 echo "== fault-injection soak (ctest -L resilience) =="
 # The seeded comm-fault campaign: every fault kind injected and recovered,
 # plus the mid-run rank-death soak with regrids (comm_recovery_test).
